@@ -13,6 +13,8 @@
  * versus off (the preserved pre-optimization scalar loops). The
  * recorded `snn.speedup` / `ann.speedup` ratios are machine-relative,
  * so CI can regress on them without depending on absolute host speed.
+ * `snn.conv.speedup` does the same for a LeNet-5 SNN, whose fast run is
+ * the event-driven conv plan.
  *
  * Also measures resilience under overload (shed/timeout ratios for a
  * burst against RejectWhenFull admission control and a tight deadline)
@@ -291,11 +293,13 @@ printFastPathStudy()
     const bool tiny = tinyMode();
     const int snn_images = tiny ? 12 : 64;
     const int snn_timesteps = tiny ? 6 : 16;
+    const int conv_images = tiny ? 8 : 32;
     const int ann_images = tiny ? 24 : 128;
 
     Table table("Fast evaluation paths vs pre-optimization scalar "
-                "baseline (1 worker; SNN " +
-                    std::to_string(snn_images) + " images x T=" +
+                "baseline (1 worker; SNN MLP " +
+                    std::to_string(snn_images) + " / LeNet-5 " +
+                    std::to_string(conv_images) + " images x T=" +
                     std::to_string(snn_timesteps) + ", ANN " +
                     std::to_string(ann_images) + " images)",
                 {"mode", "path", "images/sec", "speedup"});
@@ -317,6 +321,42 @@ printFastPathStudy()
     table.row().add("snn").add("scalar").add(snn_rates[0], 1).add("1.00x");
     table.row().add("snn").add("fast").add(snn_rates[1], 1).add(
         formatRatio(snn_speedup));
+
+    // Conv SNN (LeNet-5 at 16x16): the fast run is the event-driven
+    // plan -- input spikes scattered into the conv windows they touch,
+    // pools and IF layers on preallocated buffers -- against the
+    // generic walk on the scalar kernels. The two paths alternate over
+    // three rounds and each keeps its best: host speed drifts over the
+    // tens of milliseconds one measurement takes, and alternating puts
+    // both paths under the same drift.
+    Network lenet = buildLenet5(16, 1, 10, /*seed=*/11);
+    const SpikingModel conv_snn =
+        convertToSnn(lenet, w.data.firstImages(32));
+    double conv_rates[2] = {0.0, 0.0};
+    for (int round = 0; round < 3; ++round) {
+        for (int fast = 0; fast < 2; ++fast) {
+            NebulaConfig chip_cfg;
+            chip_cfg.fastEval = fast != 0;
+            conv_rates[fast] = std::max(
+                conv_rates[fast],
+                measureServingRate(makeSnnReplicaFactory(conv_snn, chip_cfg),
+                                   conv_images, snn_timesteps));
+        }
+    }
+    const double conv_speedup = conv_rates[1] / conv_rates[0];
+    bench::record("snn.conv.images_per_sec.scalar", conv_rates[0]);
+    bench::record("snn.conv.images_per_sec.fast", conv_rates[1]);
+    bench::record("snn.conv.speedup", conv_speedup);
+    table.row()
+        .add("snn lenet5")
+        .add("scalar")
+        .add(conv_rates[0], 1)
+        .add("1.00x");
+    table.row()
+        .add("snn lenet5")
+        .add("fast plan")
+        .add(conv_rates[1], 1)
+        .add(formatRatio(conv_speedup));
 
     double ann_rates[2] = {0.0, 0.0};
     for (int fast = 0; fast < 2; ++fast) {

@@ -10,6 +10,7 @@
 #include "nn/activations.hpp"
 #include "nn/conv.hpp"
 #include "nn/linear.hpp"
+#include "nn/pooling.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "snn/encoder.hpp"
@@ -52,17 +53,60 @@ publishMappingMetrics(const char *mode, const NebulaConfig &config,
 
 /**
  * Reconstruct real-unit pre-activations from one column group's
- * normalized sums: out[j] = currents[j] / kappa * scale + bias[j].
- * The division by kappa is kept a division (not a reciprocal multiply)
- * so the result stays bit-identical to the generic walk's emit.
+ * normalized sums: out[j * stride] = currents[j] / kappa * scale +
+ * bias[j] (stride 1 for a Linear row, the output plane size for a conv
+ * window). The division by kappa is kept a division (not a reciprocal
+ * multiply) so the result stays bit-identical to the generic walk's
+ * emit.
  */
 NEBULA_TARGET_CLONES void
-emitAffine(float *out, const float *bias, const double *currents, int n,
-           double kappa, double scale)
+emitAffine(float *out, size_t stride, const float *bias,
+           const double *currents, int n, double kappa, double scale)
 {
+    // The contiguous (Linear) case gets its own loop so the divides
+    // vectorize; a strided store would keep them scalar.
+    if (stride == 1) {
+        for (int j = 0; j < n; ++j)
+            out[j] =
+                static_cast<float>(currents[j] / kappa * scale + bias[j]);
+        return;
+    }
     for (int j = 0; j < n; ++j)
-        out[j] =
+        out[static_cast<size_t>(j) * stride] =
             static_cast<float>(currents[j] / kappa * scale + bias[j]);
+}
+
+/** Element count of a tensor shape. */
+long long
+shapeElements(const std::vector<int> &shape)
+{
+    long long n = 1;
+    for (int d : shape)
+        n *= d;
+    return n;
+}
+
+/**
+ * CSR table of the (output, tap) pairs each input coordinate feeds
+ * along one conv axis: input i reaches output o through tap t when
+ * o * stride - pad + t == i, recorded as {o * out_scale, t * tap_scale}.
+ */
+template <class Tap>
+void
+buildConvTaps(int in, int out, int k, int stride, int pad, int out_scale,
+              int tap_scale, std::vector<int> &start, std::vector<Tap> &taps)
+{
+    start.assign(static_cast<size_t>(in) + 1, 0);
+    taps.clear();
+    for (int i = 0; i < in; ++i) {
+        for (int t = 0; t < k; ++t) {
+            const int num = i + pad - t;
+            if (num < 0 || num % stride != 0 || num / stride >= out)
+                continue;
+            taps.push_back({num / stride * out_scale, t * tap_scale});
+        }
+        start[static_cast<size_t>(i) + 1] = static_cast<int>(taps.size());
+    }
 }
 
 } // namespace
@@ -1225,55 +1269,253 @@ NebulaChip::buildSnnFastPlan()
 
     std::vector<SnnFastStage> stages;
     size_t next_mapped = 0;
-    long long in_features = -1;
-    long long prev_features = -1;
     for (int i = 0; i < net.numLayers(); ++i) {
         Layer &layer = net.layer(i);
-        switch (layer.kind()) {
+        SnnFastStage stage;
+        stage.kind = layer.kind();
+        stage.layer = &layer;
+        switch (stage.kind) {
         case LayerKind::Flatten:
-            // Shape-only; spike values pass through untouched.
-            break;
-        case LayerKind::Linear: {
-            const auto &fc = static_cast<const Linear &>(layer);
-            // Every stage but the last must feed an IF layer: only then
-            // is the next stage's input a binary spike map the sparse
-            // driver path may assume.
-            if (!stages.empty() && stages.back().ifAfter == nullptr)
-                return;
-            if (prev_features >= 0 && fc.inFeatures() != prev_features)
-                return;
-            if (in_features < 0)
-                in_features = fc.inFeatures();
-            SnnFastStage stage;
+            // Shape-only; bindSnnFastPlan folds it into the buffers.
+            continue;
+        case LayerKind::Conv:
+        case LayerKind::Linear:
             stage.layerIndex = next_mapped++;
-            stage.features = fc.numKernels();
-            stage.nocEnergy =
-                noc_.transferEnergy({0, 0}, {1, 0}, stage.features);
-            stage.preAct = Tensor({1, stage.features});
-            prev_features = stage.features;
-            stages.push_back(std::move(stage));
+            // Binary drivers straight from the encoder or an IF layer;
+            // anything else (a pool, another weight layer) is fractional.
+            stage.spikeInput =
+                stages.empty() || stages.back().kind == LayerKind::If;
+            if (!stages.empty() && stages.back().kind == LayerKind::If)
+                stages.back().scanSpikes = true;
             break;
-        }
         case LayerKind::If: {
-            if (stages.empty() || stages.back().ifAfter != nullptr)
-                return;
-            auto &neuron = static_cast<IfLayer &>(layer);
-            stages.back().ifAfter = &neuron;
-            stages.back().plainIf = neuron.options().leak == 0.0f &&
-                                    neuron.options().refractory == 0;
-            stages.back().spikes = Tensor({1, stages.back().features});
-            break;
+            const IfOptions &opts =
+                static_cast<IfLayer &>(layer).options();
+            stage.plainIf = opts.leak == 0.0f && opts.refractory == 0;
+            [[fallthrough]];
         }
+        case LayerKind::AvgPool:
+            // Dense consumers: the encoder emits only a spike list.
+            if (stages.empty())
+                return;
+            break;
         default:
             return; // unsupported topology: keep the generic walk
         }
+        stages.push_back(std::move(stage));
     }
     if (stages.empty() || next_mapped != layers_.size())
         return;
 
-    fastPlan_.inFeatures = in_features;
     fastPlan_.stages = std::move(stages);
     fastPlan_.usable = true;
+}
+
+void
+NebulaChip::bindSnnFastPlan(const std::vector<int> &in_shape)
+{
+    SnnFastPlan &plan = fastPlan_;
+    Network &net = snnModel_->net;
+    std::vector<int> shape = in_shape;
+    SnnFastStage *prev = nullptr;
+    size_t next = 0;
+    for (int i = 0; i < net.numLayers(); ++i) {
+        if (net.layer(i).kind() == LayerKind::Flatten) {
+            shape = {1, static_cast<int>(shapeElements(shape))};
+            if (prev)
+                prev->out.reshape(shape);
+            continue;
+        }
+        SnnFastStage &stage = plan.stages[next++];
+        stage.inShape = shape;
+        switch (stage.kind) {
+        case LayerKind::Linear: {
+            const auto &fc = static_cast<const Linear &>(*stage.layer);
+            NEBULA_ASSERT(shapeElements(shape) == fc.inFeatures(),
+                          "input size does not match the programmed SNN");
+            stage.out = Tensor({1, fc.numKernels()});
+            break;
+        }
+        case LayerKind::Conv: {
+            const auto &conv = static_cast<const Conv2d &>(*stage.layer);
+            NEBULA_ASSERT(shape.size() == 4 &&
+                              shape[1] == conv.inChannels(),
+                          "conv input does not match the programmed SNN");
+            stage.k = conv.kernel();
+            stage.stride = conv.stride();
+            stage.pad = conv.padding();
+            stage.inC = shape[1];
+            stage.inH = shape[2];
+            stage.inW = shape[3];
+            stage.outH =
+                (stage.inH + 2 * stage.pad - stage.k) / stage.stride + 1;
+            stage.outW =
+                (stage.inW + 2 * stage.pad - stage.k) / stage.stride + 1;
+            stage.rf = conv.receptiveField();
+            stage.out =
+                Tensor({1, conv.numKernels(), stage.outH, stage.outW});
+            const size_t windows =
+                static_cast<size_t>(stage.outH) * stage.outW;
+            if (stage.spikeInput) {
+                buildConvTaps(stage.inH, stage.outH, stage.k, stage.stride,
+                              stage.pad, stage.outW, stage.k, stage.tapH,
+                              stage.tapsH);
+                buildConvTaps(stage.inW, stage.outW, stage.k, stage.stride,
+                              stage.pad, 1, 1, stage.tapW, stage.tapsW);
+                stage.rows.assign(windows * stage.rf, 0);
+                stage.counts.assign(windows, 0);
+            } else {
+                stage.window.assign(static_cast<size_t>(stage.rf), 0.0);
+            }
+            break;
+        }
+        case LayerKind::If:
+            stage.out = Tensor(shape);
+            break;
+        case LayerKind::AvgPool: {
+            const auto &pool = static_cast<const AvgPool2d &>(*stage.layer);
+            NEBULA_ASSERT(shape.size() == 4, "pooling expects NCHW");
+            const int out_h = pool.outSize(shape[2]);
+            const int out_w = pool.outSize(shape[3]);
+            NEBULA_ASSERT(out_h > 0 && out_w > 0,
+                          "pooling output collapsed");
+            stage.out = Tensor({1, shape[1], out_h, out_w});
+            break;
+        }
+        default:
+            NEBULA_PANIC("layer kind outside the SNN fast plan");
+        }
+        if (stage.kind == LayerKind::Conv ||
+            stage.kind == LayerKind::Linear) {
+            if (!stage.spikeInput)
+                stage.norm.assign(static_cast<size_t>(shapeElements(shape)),
+                                  0.0);
+            stage.nocEnergy =
+                noc_.transferEnergy({0, 0}, {1, 0}, stage.out.size());
+        }
+        shape = stage.out.shape();
+        prev = &stage;
+    }
+    plan.boundShape = in_shape;
+}
+
+void
+NebulaChip::snnFastWindow(MappedLayer &layer, const int *rows, int n_rows,
+                          const double *dense, float *out,
+                          size_t out_stride)
+{
+    CrossbarEval &eval = fastPlan_.evalWs;
+    for (size_t g = 0; g < layer.groups.size(); ++g) {
+        CrossbarArray &xbar = *layer.groups[g];
+        if (dense)
+            xbar.evaluateIdealInto(dense, config_.cycleTime, eval);
+        else
+            xbar.evaluateSparseInto(rows, n_rows, config_.cycleTime, eval);
+        ++stats_.crossbarEvals;
+        stats_.crossbarEnergy += eval.energy;
+        if (config_.abft) {
+            stats_.abftChecks += eval.check.checks;
+            stats_.abftViolations += eval.check.violations;
+            stats_.adcConversions += eval.check.checks;
+        }
+        // Same expression sequence as evalGroup's non-NU emit with
+        // binary drivers: in_ceiling == 1 exactly, so folding it away
+        // leaves emitAffine() bit-identical to the generic walk.
+        const size_t offset = g * static_cast<size_t>(config_.atomicSize);
+        emitAffine(out + offset * out_stride, out_stride,
+                   layer.bias.data() + offset, eval.currents.data(),
+                   xbar.cols(), xbar.currentScale(),
+                   static_cast<double>(layer.weightScale));
+    }
+}
+
+void
+NebulaChip::snnFastWeightStage(SnnFastStage &stage, const float *in)
+{
+    MappedLayer &layer = layers_[stage.layerIndex];
+    float *out = stage.out.data();
+    {
+        obs::TraceSpan span("chip", "layer.eval", config_.traceChip);
+        span.arg("layer", static_cast<double>(layer.map.layerIndex));
+        const long long evals_before = stats_.crossbarEvals;
+
+        if (!stage.spikeInput) {
+            // The generic walk's normalize with in_ceiling == 1:
+            // v / 1.0 is exact, leaving the clamp.
+            for (size_t i = 0; i < stage.norm.size(); ++i)
+                stage.norm[i] = std::clamp(static_cast<double>(in[i]),
+                                           0.0, 1.0);
+        }
+        const SpikeVector &active = fastPlan_.active;
+        if (stage.kind == LayerKind::Linear) {
+            snnFastWindow(layer, active.data(),
+                          static_cast<int>(active.size()),
+                          stage.spikeInput ? nullptr : stage.norm.data(),
+                          out, 1);
+        } else if (stage.spikeInput) {
+            // Scatter: walking spikes in ascending (c, ih, iw) order
+            // appends rows (c * k + kh) * k + kw in ascending order to
+            // every window, exactly the list the generic gather builds.
+            const int rf = stage.rf;
+            const int kk = stage.k * stage.k;
+            const int plane = stage.inH * stage.inW;
+            int *rows = stage.rows.data();
+            int *counts = stage.counts.data();
+            std::fill(stage.counts.begin(), stage.counts.end(), 0);
+            for (const int i : active) {
+                const int c = i / plane;
+                const int rem = i - c * plane;
+                const int ih = rem / stage.inW;
+                const int iw = rem - ih * stage.inW;
+                const int c_base = c * kk;
+                for (int a = stage.tapH[static_cast<size_t>(ih)];
+                     a < stage.tapH[static_cast<size_t>(ih) + 1]; ++a) {
+                    const ConvTap th = stage.tapsH[static_cast<size_t>(a)];
+                    for (int b = stage.tapW[static_cast<size_t>(iw)];
+                         b < stage.tapW[static_cast<size_t>(iw) + 1]; ++b) {
+                        const ConvTap tw =
+                            stage.tapsW[static_cast<size_t>(b)];
+                        const int w = th.out + tw.out;
+                        rows[static_cast<size_t>(w) * rf + counts[w]++] =
+                            c_base + th.tap + tw.tap;
+                    }
+                }
+            }
+            const int windows = stage.outH * stage.outW;
+            for (int w = 0; w < windows; ++w)
+                snnFastWindow(layer, rows + static_cast<size_t>(w) * rf,
+                              counts[w], nullptr, out + w,
+                              static_cast<size_t>(windows));
+        } else {
+            // Fractional input: the generic walk's dense window gather.
+            const double *norm = stage.norm.data();
+            const int windows = stage.outH * stage.outW;
+            for (int w = 0; w < windows; ++w) {
+                const int ih0 = w / stage.outW * stage.stride - stage.pad;
+                const int iw0 = w % stage.outW * stage.stride - stage.pad;
+                double *r = stage.window.data();
+                for (int c = 0; c < stage.inC; ++c)
+                    for (int ih = ih0; ih < ih0 + stage.k; ++ih)
+                        for (int iw = iw0; iw < iw0 + stage.k; ++iw)
+                            *r++ = ih < 0 || ih >= stage.inH || iw < 0 ||
+                                           iw >= stage.inW
+                                       ? 0.0
+                                       : norm[(static_cast<size_t>(c) *
+                                                   stage.inH +
+                                               ih) *
+                                                  stage.inW +
+                                              iw];
+                snnFastWindow(layer, nullptr, 0, stage.window.data(),
+                              out + w, static_cast<size_t>(windows));
+            }
+        }
+        span.arg("crossbar_evals",
+                 static_cast<double>(stats_.crossbarEvals - evals_before));
+    }
+    obs::TraceSpan noc_span("noc", "transfer", config_.traceChip);
+    noc_span.arg("bits", static_cast<double>(stage.out.size()));
+    stats_.nocPackets++;
+    stats_.nocEnergy += stage.nocEnergy;
 }
 
 long long
@@ -1281,62 +1523,55 @@ NebulaChip::snnFastStep(PoissonEncoder &encoder, int t,
                         SnnRunResult &result)
 {
     SnnFastPlan &plan = fastPlan_;
-    encoder.encodeActive(plan.encPlan, plan.active);
+    obs::TraceSpan step_span("chip", "timestep", config_.traceChip);
+    step_span.arg("t", static_cast<double>(t));
+    {
+        obs::TraceSpan encode_span("snn", "encode", config_.traceChip);
+        encoder.encodeActive(plan.encPlan, plan.active);
+    }
     const long long input_spikes =
         static_cast<long long>(plan.active.size());
 
-    const Tensor *stage_out = nullptr;
+    const float *in = nullptr; // previous stage's output
     for (SnnFastStage &stage : plan.stages) {
-        MappedLayer &layer = layers_[stage.layerIndex];
-        // Same expression sequence as evalGroup's non-NU emit with
-        // binary drivers: in_ceiling == 1 exactly, so folding it away
-        // leaves emitAffine() bit-identical to the generic walk.
-        // differential_test and the SNN golden vectors pin this.
-        float *out = stage.preAct.data();
-        for (size_t g = 0; g < layer.groups.size(); ++g) {
-            CrossbarArray &xbar = *layer.groups[g];
-            xbar.evaluateSparseInto(plan.active, config_.cycleTime,
-                                    plan.evalWs);
-            ++stats_.crossbarEvals;
-            stats_.crossbarEnergy += plan.evalWs.energy;
-            if (config_.abft) {
-                stats_.abftChecks += plan.evalWs.check.checks;
-                stats_.abftViolations += plan.evalWs.check.violations;
-                stats_.adcConversions += plan.evalWs.check.checks;
-            }
-            const int group_offset =
-                static_cast<int>(g) * config_.atomicSize;
-            emitAffine(out + group_offset, layer.bias.data() + group_offset,
-                       plan.evalWs.currents.data(), xbar.cols(),
-                       xbar.currentScale(),
-                       static_cast<double>(layer.weightScale));
-        }
-        stats_.nocPackets++;
-        stats_.nocEnergy += stage.nocEnergy;
-
-        if (stage.ifAfter) {
+        float *out = stage.out.data();
+        switch (stage.kind) {
+        case LayerKind::Conv:
+        case LayerKind::Linear:
+            snnFastWeightStage(stage, in);
+            break;
+        case LayerKind::If: {
+            auto &neuron = static_cast<IfLayer &>(*stage.layer);
+            const long long n = stage.out.size();
             if (stage.plainIf)
-                stage.ifAfter->stepPlain(stage.preAct.data(),
-                                         stage.spikes.data(),
-                                         stage.features);
+                neuron.stepPlain(in, out, n);
             else
-                stage.ifAfter->step(stage.preAct.data(),
-                                    stage.spikes.data(), stage.features);
-            plan.active.clear();
-            const float *sp = stage.spikes.data();
-            for (int i = 0; i < stage.features; ++i)
-                if (sp[i] != 0.0f)
-                    plan.active.push_back(i);
-            stage_out = &stage.spikes;
-        } else {
-            stage_out = &stage.preAct;
+                neuron.step(in, out, n);
+            if (stage.scanSpikes) {
+                plan.active.clear();
+                for (long long i = 0; i < n; ++i)
+                    if (out[i] != 0.0f)
+                        plan.active.push_back(static_cast<int>(i));
+            }
+            break;
         }
+        case LayerKind::AvgPool:
+            static_cast<const AvgPool2d &>(*stage.layer)
+                .poolPlanes(in, out, stage.inShape[1], stage.inShape[2],
+                            stage.inShape[3]);
+            break;
+        default:
+            break;
+        }
+        in = out;
     }
 
+    obs::TraceSpan acc_span("snn", "accumulate", config_.traceChip);
+    const Tensor &logits = plan.stages.back().out;
     if (t == 0)
-        result.logits = *stage_out;
+        result.logits = logits;
     else
-        result.logits.add(*stage_out);
+        result.logits.add(logits);
     return input_spikes;
 }
 
@@ -1370,17 +1605,16 @@ NebulaChip::runSnn(const Tensor &image, int timesteps,
     const long long violations_before = stats_.abftViolations;
 
     // The preplanned pipeline runs the same arithmetic without the
-    // per-step tensor churn; an actively recording trace session keeps
-    // the instrumented walk so its spans stay complete.
-    const bool use_plan =
-        config_.fastEval && fastPlan_.usable &&
-        !(config_.traceChip && obs::TraceSession::enabled());
+    // per-step tensor churn, and emits the same trace spans, so a trace
+    // sees the path that is served.
+    const bool use_plan = config_.fastEval && fastPlan_.usable;
     if (use_plan) {
-        NEBULA_ASSERT(image.size() == fastPlan_.inFeatures,
-                      "image size does not match the programmed SNN");
+        if (fastPlan_.boundShape != batched)
+            bindSnnFastPlan(batched);
         for (SnnFastStage &stage : fastPlan_.stages)
-            if (stage.ifAfter)
-                stage.ifAfter->ensureState({1, stage.features});
+            if (stage.kind == LayerKind::If)
+                static_cast<IfLayer &>(*stage.layer)
+                    .ensureState(stage.inShape);
         encoder.buildPlan(image, fastPlan_.encPlan);
     }
 

@@ -185,6 +185,12 @@ class NebulaChip
     /** Aggregate incremental-update accounting since the last program. */
     const UpdateReport &updateReport() const { return updateReport_; }
 
+    /**
+     * True when the programmed SNN runs the preplanned, allocation-free
+     * timestep path (with fastEval); false means the generic layer walk.
+     */
+    bool snnFastPlanUsable() const { return fastPlan_.usable; }
+
     const ChipStats &stats() const { return stats_; }
     void clearStats() { stats_ = ChipStats(); }
 
@@ -242,40 +248,75 @@ class NebulaChip
     void evaluateLayerBatch(MappedLayer &layer, std::vector<Tensor> &xs,
                             std::vector<ChipStats> &per_image);
 
-    /**
-     * One stage of the pre-resolved fast SNN pipeline: a mapped Linear
-     * layer plus the IF layer that consumes its pre-activations (null
-     * for the logits stage), with reusable output buffers and the
-     * per-step NoC transfer energy precomputed.
-     */
-    struct SnnFastStage
+    /** One (output index, kernel tap) pair an input row/column feeds. */
+    struct ConvTap
     {
-        size_t layerIndex = 0;      //!< into layers_
-        IfLayer *ifAfter = nullptr; //!< IF consuming this stage's output
-        bool plainIf = false;       //!< ifAfter qualifies for stepPlain()
-        int features = 0;           //!< output kernels
-        double nocEnergy = 0.0;     //!< per-step inter-layer transfer (J)
-        Tensor preAct;              //!< (1, features) pre-activations
-        Tensor spikes;              //!< (1, features) IF spike map
+        int out = 0; //!< window offset contributed (oh * out_w, or ow)
+        int tap = 0; //!< receptive-field offset contributed (kh * k, or kw)
     };
 
     /**
-     * Fast SNN execution plan, built at programSnn() time for pure
-     * Flatten/Linear/IF pipelines (the paper's MLP topologies). Runs
-     * the identical per-timestep arithmetic as the generic layer walk
-     * -- sparse spike-driven crossbar evaluation, the same affine
-     * reconstruction expression, the same IF update via IfLayer::step()
-     * -- but through preallocated buffers with no per-step tensor
-     * churn. differential_test and golden_test pin it to the generic
-     * path bit-for-bit; anything not matching the pattern keeps the
-     * generic walk (usable == false).
+     * One stage of the pre-resolved fast SNN pipeline: a mapped Conv or
+     * Linear layer, an IF layer or an average pool (Flatten stages are
+     * folded into their neighbours' buffer shapes). Geometry and every
+     * buffer are sized once per input shape by bindSnnFastPlan(), so a
+     * timestep allocates nothing.
+     */
+    struct SnnFastStage
+    {
+        LayerKind kind = LayerKind::Linear; //!< Conv, Linear, If, AvgPool
+        Layer *layer = nullptr;   //!< source layer in the programmed net
+        size_t layerIndex = 0;    //!< Conv/Linear: into layers_
+        bool spikeInput = false;  //!< Conv/Linear: fed encoder/IF spikes
+        bool scanSpikes = false;  //!< If: a weight stage reads its spikes
+        bool plainIf = false;     //!< If: qualifies for stepPlain()
+        std::vector<int> inShape; //!< input shape as the generic walk sees it
+        Tensor out;               //!< output, in the generic walk's shape
+        double nocEnergy = 0.0;   //!< Conv/Linear: per-step transfer (J)
+
+        // Conv geometry (k, stride, pad; input C/H/W; output H/W).
+        int k = 0, stride = 1, pad = 0;
+        int inC = 0, inH = 0, inW = 0, outH = 0, outW = 0;
+        int rf = 0; //!< receptive field, c * k * k rows
+
+        /**
+         * Spike scatter tables: taps of input row ih are tapsH[tapH[ih],
+         * tapH[ih + 1]), likewise for input column iw, so an input
+         * spike lands in its windows without a division.
+         */
+        std::vector<int> tapH, tapW;
+        std::vector<ConvTap> tapsH, tapsW;
+        std::vector<int> rows;   //!< rf active-row slots per window
+        std::vector<int> counts; //!< active rows per window this step
+
+        std::vector<double> norm;   //!< fractional input: drive factors
+        std::vector<double> window; //!< fractional conv: one window
+    };
+
+    /**
+     * Fast SNN execution plan, built at programSnn() time for pipelines
+     * of Conv, Linear, AvgPool, IF and Flatten layers (every paper MLP
+     * and LeNet topology). Runs the identical per-timestep arithmetic as
+     * the generic layer walk -- the same crossbar kernels, the same
+     * affine reconstruction expression, the same IF update -- through
+     * preallocated buffers:
+     *  - a weight stage fed by binary spikes (encoder or IF) drives only
+     *    the active rows; a conv stage scatters each ascending input
+     *    spike into the windows it touches, which leaves every window's
+     *    row list ascending, so per-column summation order (currents,
+     *    energy, ABFT verdicts) matches the generic gather bit-for-bit;
+     *  - a weight stage fed fractional values (an average pool, or a
+     *    weight layer with no IF between) evaluates dense, which the
+     *    crossbar pins bit-identical to sparse on binary windows.
+     * differential_test and golden_test pin it to the generic path
+     * bit-for-bit; any other layer (DwConv, MaxPool, BatchNorm, ...)
+     * keeps the generic walk (usable == false).
      */
     struct SnnFastPlan
     {
         bool usable = false;
-        long long inFeatures = 0;  //!< flattened input size expected
+        std::vector<int> boundShape; //!< input shape the buffers fit
         std::vector<SnnFastStage> stages;
-        Tensor spikeBuf;           //!< encoder output workspace
         SpikeVector active;        //!< active-row workspace
         CrossbarEval evalWs;       //!< crossbar result workspace
         PoissonEncoder::EncodePlan encPlan; //!< per-run encode plan
@@ -284,13 +325,28 @@ class NebulaChip
     /** Build fastPlan_ for the programmed SNN (or mark it unusable). */
     void buildSnnFastPlan();
 
+    /** Size the plan's geometry and buffers for one input shape. */
+    void bindSnnFastPlan(const std::vector<int> &in_shape);
+
     /**
      * One fast-plan timestep: encode (from the plan built for this
-     * run's image), run every stage sparsely, fold the logits into
-     * @p result. Returns the input spike count.
+     * run's image), run every stage, fold the logits into @p result.
+     * Returns the input spike count.
      */
     long long snnFastStep(PoissonEncoder &encoder, int t,
                           SnnRunResult &result);
+
+    /** One plan weight stage on dense input @p in (or the spike list). */
+    void snnFastWeightStage(SnnFastStage &stage, const float *in);
+
+    /**
+     * Evaluate every column group of @p layer for one input window --
+     * @p n_rows active rows at @p rows, or dense drive factors at
+     * @p dense when non-null -- billing stats_ as the generic walk does
+     * and emitting kernel j's pre-activation at out[j * out_stride].
+     */
+    void snnFastWindow(MappedLayer &layer, const int *rows, int n_rows,
+                       const double *dense, float *out, size_t out_stride);
 
     NebulaConfig config_;
     double variationSigma_;

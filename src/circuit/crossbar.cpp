@@ -730,17 +730,27 @@ CrossbarArray::evaluateIdeal(const std::vector<double> &inputs,
     if (!p_.fastEval)
         return evaluateIdealScalar(inputs, duration);
 
+    CrossbarEval eval;
+    evaluateIdealInto(inputs.data(), duration, eval);
+    return eval;
+}
+
+void
+CrossbarArray::evaluateIdealInto(const double *inputs, double duration,
+                                 CrossbarEval &eval) const
+{
+    NEBULA_ASSERT(p_.fastEval,
+                  "evaluateIdealInto requires the fast-eval cache");
     const EvalCache &c = evalCache();
     const int cols = p_.cols;
-    CrossbarEval eval;
     eval.currents.assign(cols, 0.0);
 
     // Active-row gather: the tiles below walk only driven rows, and the
     // voltage expression matches evaluateIdealScalar exactly.
-    std::vector<int> active;
-    std::vector<double> va;
-    active.reserve(static_cast<size_t>(p_.rows));
-    va.reserve(static_cast<size_t>(p_.rows));
+    std::vector<int> &active = cache_.active;
+    std::vector<double> &va = cache_.va;
+    active.clear();
+    va.clear();
     for (int i = 0; i < p_.rows; ++i) {
         const double v = std::clamp(inputs[i], 0.0, 1.0) * p_.readVoltage;
         if (v == 0.0)
@@ -781,6 +791,7 @@ CrossbarArray::evaluateIdeal(const std::vector<double> &inputs,
                 eval.currents[static_cast<size_t>(j)] = 0.0;
     }
     eval.energy = power * duration;
+    eval.check = CrossbarCheck{};
     if (p_.abft) {
         // Checksum read-out: same ascending active-row chain as the
         // reference column, so the verdict is bit-identical to the
@@ -797,7 +808,6 @@ CrossbarArray::evaluateIdeal(const std::vector<double> &inputs,
         eval.check =
             makeCheck(eval.currents.data(), chk_current, ref_current, vsq);
     }
-    return eval;
 }
 
 CrossbarEval
@@ -821,6 +831,14 @@ void
 CrossbarArray::evaluateSparseInto(const SpikeVector &active,
                                   double duration, CrossbarEval &eval) const
 {
+    evaluateSparseInto(active.data(), static_cast<int>(active.size()),
+                       duration, eval);
+}
+
+void
+CrossbarArray::evaluateSparseInto(const int *active, int n_active,
+                                  double duration, CrossbarEval &eval) const
+{
     NEBULA_ASSERT(p_.fastEval,
                   "evaluateSparseInto requires the fast-eval cache");
     const EvalCache &c = evalCache();
@@ -831,8 +849,7 @@ CrossbarArray::evaluateSparseInto(const SpikeVector &active,
     double ref_current = 0.0;
     double power = 0.0;
     double *out = eval.currents.data();
-    const size_t n_active = active.size();
-    size_t a = 0;
+    int a = 0;
     for (; a + 4 <= n_active; a += 4) {
         const int i0 = active[a], i1 = active[a + 1];
         const int i2 = active[a + 2], i3 = active[a + 3];
@@ -874,7 +891,7 @@ CrossbarArray::evaluateSparseInto(const SpikeVector &active,
         // the densified vector, so verdicts stay bit-identical.
         double chk_current = 0.0;
         double vsq = 0.0;
-        for (size_t k = 0; k < n_active; ++k) {
+        for (int k = 0; k < n_active; ++k) {
             chk_current +=
                 v * c.chkCol[static_cast<size_t>(active[k])];
             vsq += v * v;

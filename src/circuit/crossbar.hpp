@@ -240,6 +240,17 @@ class CrossbarArray
                                double duration) const;
 
     /**
+     * evaluateIdeal() into a caller-owned result: @p inputs holds
+     * rows() normalized voltage factors, and the active-row scratch
+     * lives in the array's EvalCache, so per-window inner loops make no
+     * allocation. Requires fastEval (the scalar baseline lives in the
+     * by-value form, which forwards here otherwise); values are
+     * identical to it.
+     */
+    void evaluateIdealInto(const double *inputs, double duration,
+                           CrossbarEval &eval) const;
+
+    /**
      * Spike-driven sparse evaluation: only the rows listed in
      * @p active (ascending row indices, each driven at full read
      * voltage) contribute. Bit-identical to evaluateIdeal() on the
@@ -257,6 +268,15 @@ class CrossbarArray
      */
     void evaluateSparseInto(const SpikeVector &active, double duration,
                             CrossbarEval &eval) const;
+
+    /**
+     * Pointer-plus-count form of evaluateSparseInto(): @p n_active
+     * ascending row indices at @p active. Lets callers keep many
+     * windows' active-row lists in one flat buffer (the event-driven
+     * conv scatter); the vector form forwards here.
+     */
+    void evaluateSparseInto(const int *active, int n_active,
+                            double duration, CrossbarEval &eval) const;
 
     /**
      * Evaluate @p batch input windows (row-major batch x rows) in one
@@ -349,6 +369,10 @@ class CrossbarArray
 
         /** Gauss-Seidel node-voltage workspace (parasitic solve). */
         std::vector<double> vr, vc, source;
+
+        /** Driven-row indices and voltages of evaluateIdealInto(). */
+        std::vector<int> active;
+        std::vector<double> va;
     };
 
     /** The cache, built if stale. */

@@ -3,13 +3,15 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/simd.hpp"
+
 namespace nebula {
 
 namespace {
 constexpr int kBlock = 64;
 } // namespace
 
-void
+NEBULA_HOT_ALIGNED void
 gemm(int M, int N, int K, const float *A, const float *B, float *C,
      bool accumulate)
 {
@@ -36,7 +38,7 @@ gemm(int M, int N, int K, const float *A, const float *B, float *C,
     }
 }
 
-void
+NEBULA_HOT_ALIGNED void
 gemmTransA(int M, int N, int K, const float *A, const float *B, float *C,
            bool accumulate)
 {
@@ -58,7 +60,7 @@ gemmTransA(int M, int N, int K, const float *A, const float *B, float *C,
     }
 }
 
-void
+NEBULA_HOT_ALIGNED void
 gemmTransB(int M, int N, int K, const float *A, const float *B, float *C,
            bool accumulate)
 {

@@ -27,30 +27,42 @@ AvgPool2d::forward(const Tensor &input, bool train)
     NEBULA_ASSERT(input.rank() == 4, "pooling expects NCHW");
     const int batch = input.dim(0), channels = input.dim(1);
     const int in_h = input.dim(2), in_w = input.dim(3);
-    const int out_h = (in_h - kernel_) / stride_ + 1;
-    const int out_w = (in_w - kernel_) / stride_ + 1;
+    const int out_h = outSize(in_h);
+    const int out_w = outSize(in_w);
     NEBULA_ASSERT(out_h > 0 && out_w > 0, "pooling output collapsed");
 
     if (train)
         inputShape_ = input.shape();
 
     Tensor output({batch, channels, out_h, out_w});
+    poolPlanes(input.data(), output.data(), batch * channels, in_h, in_w);
+    return output;
+}
+
+void
+AvgPool2d::poolPlanes(const float *in, float *out, int planes, int in_h,
+                      int in_w) const
+{
+    const int out_h = outSize(in_h);
+    const int out_w = outSize(in_w);
     const float inv = 1.0f / (kernel_ * kernel_);
-    for (int n = 0; n < batch; ++n) {
-        for (int c = 0; c < channels; ++c) {
-            for (int oh = 0; oh < out_h; ++oh) {
-                for (int ow = 0; ow < out_w; ++ow) {
-                    float acc = 0.0f;
-                    for (int kh = 0; kh < kernel_; ++kh)
-                        for (int kw = 0; kw < kernel_; ++kw)
-                            acc += input.at(n, c, oh * stride_ + kh,
-                                            ow * stride_ + kw);
-                    output.at(n, c, oh, ow) = acc * inv;
-                }
+    const size_t in_plane = static_cast<size_t>(in_h) * in_w;
+    for (int p = 0; p < planes; ++p, in += in_plane) {
+        for (int oh = 0; oh < out_h; ++oh) {
+            for (int ow = 0; ow < out_w; ++ow) {
+                // Taps summed kh-major in float, then one multiply by
+                // the reciprocal tap count.
+                const float *tap =
+                    in + static_cast<size_t>(oh * stride_) * in_w +
+                    ow * stride_;
+                float acc = 0.0f;
+                for (int kh = 0; kh < kernel_; ++kh, tap += in_w)
+                    for (int kw = 0; kw < kernel_; ++kw)
+                        acc += tap[kw];
+                *out++ = acc * inv;
             }
         }
     }
-    return output;
 }
 
 Tensor

@@ -29,6 +29,18 @@ class AvgPool2d : public Layer
     int kernel() const { return kernel_; }
     int stride() const { return stride_; }
 
+    /** Output side for an input side of @p in (no padding). */
+    int outSize(int in) const { return (in - kernel_) / stride_ + 1; }
+
+    /**
+     * Pool @p planes contiguous (in_h, in_w) float planes at @p in into
+     * (outSize(in_h), outSize(in_w)) planes at @p out. The one pooling
+     * loop: forward() runs it per image, and the chip's SNN plan runs
+     * it on its preallocated spike buffers.
+     */
+    void poolPlanes(const float *in, float *out, int planes, int in_h,
+                    int in_w) const;
+
   private:
     int kernel_, stride_;
     std::vector<int> inputShape_;

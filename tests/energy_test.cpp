@@ -153,9 +153,10 @@ TEST(EnergyModel, AdcOnlyChargedWhenSpilled)
     const auto result = model.evaluateAnn(
         mapping, ActivityProfile::uniform(mapping.layers.size(), 0.5));
     for (size_t i = 0; i < mapping.layers.size(); ++i) {
-        if (!mapping.layers[i].needsAdc)
+        if (!mapping.layers[i].needsAdc) {
             EXPECT_DOUBLE_EQ(result.layers[i].byComponent.at("adc"), 0.0)
                 << mapping.layers[i].name;
+        }
     }
 }
 

@@ -8,8 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <sstream>
+
 #include "arch/chip.hpp"
+#include "nn/activations.hpp"
+#include "nn/conv.hpp"
+#include "nn/linear.hpp"
 #include "nn/models.hpp"
+#include "nn/pooling.hpp"
 #include "reliability/campaign.hpp"
 #include "runtime/request.hpp"
 #include "snn/snn_sim.hpp"
@@ -157,6 +164,276 @@ TEST(CrossbarCache, MitigatedProgramRemapsCacheView)
         << "cache did not follow the spare-column remap";
     // The repaired column carries real current again (spare is healthy).
     EXPECT_NE(repaired.currents[2], 0.0);
+}
+
+/** Bit-for-bit equality of two doubles (distinguishes -0.0, NaNs). */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** First difference between two SNN runs and their chip stats, or "". */
+std::string
+snnRunMismatch(const SnnRunResult &a, const ChipStats &sa,
+               const SnnRunResult &b, const ChipStats &sb)
+{
+    if (a.logits.shape() != b.logits.shape())
+        return "logits shape";
+    if (a.logits.size() > 0 &&
+        std::memcmp(a.logits.data(), b.logits.data(),
+                    static_cast<size_t>(a.logits.size()) * sizeof(float)) !=
+            0)
+        return "logits";
+    if (a.ifSpikes != b.ifSpikes)
+        return "ifSpikes";
+    if (a.ifNeurons != b.ifNeurons)
+        return "ifNeurons";
+    if (a.totalSpikes != b.totalSpikes)
+        return "totalSpikes";
+    if (!sameBits(a.inputRate, b.inputRate))
+        return "inputRate";
+    for (size_t k = 0; k < a.ifActivity.size(); ++k)
+        if (!sameBits(a.ifActivity[k], b.ifActivity[k]))
+            return "ifActivity";
+    if (sa.crossbarEvals != sb.crossbarEvals)
+        return "crossbarEvals";
+    if (sa.adcConversions != sb.adcConversions)
+        return "adcConversions";
+    if (sa.spikes != sb.spikes)
+        return "spikes";
+    if (!sameBits(sa.crossbarEnergy, sb.crossbarEnergy))
+        return "crossbarEnergy";
+    if (sa.nocPackets != sb.nocPackets)
+        return "nocPackets";
+    if (!sameBits(sa.nocEnergy, sb.nocEnergy))
+        return "nocEnergy";
+    if (sa.abftChecks != sb.abftChecks)
+        return "abftChecks";
+    if (sa.abftViolations != sb.abftViolations)
+        return "abftViolations";
+    return "";
+}
+
+/**
+ * A seeded random conv SNN: conv (k 1-4, stride 1-2, pad 0..k-1,
+ * sometimes more than 128 kernels, i.e. several column groups), IF
+ * layers with random threshold / reset / leak / refractory, average
+ * pools with or without an IF after them (fractional drive into the
+ * next weight layer), sometimes two weight layers back to back, then a
+ * Flatten + Linear head, with Kaiming weights.
+ */
+struct ConvSnnCase
+{
+    SpikingModel model;
+    Tensor image;
+    int timesteps = 1;
+    uint64_t encoderSeed = 0;
+    bool abft = false;
+    double sigma = 0.0;
+    ReliabilityConfig rel;
+    std::string desc;
+};
+
+ConvSnnCase
+randomConvSnnCase(uint64_t seed)
+{
+    Rng rng(seed);
+    ConvSnnCase cs;
+    std::ostringstream desc;
+    const bool wide = rng.bernoulli(0.08);
+    int c = rng.uniformInt(1, 3);
+    int h = rng.uniformInt(wide ? 3 : 4, wide ? 5 : 9);
+    int w = rng.uniformInt(wide ? 3 : 4, wide ? 5 : 9);
+    desc << "in " << c << "x" << h << "x" << w << ":";
+    cs.image = Tensor({c, h, w});
+    for (long long i = 0; i < cs.image.size(); ++i)
+        cs.image[i] = rng.bernoulli(0.2) ? 0.0f
+                                         : static_cast<float>(rng.uniform());
+
+    Network &net = cs.model.net;
+    auto addIf = [&]() {
+        IfOptions opts;
+        if (rng.bernoulli(0.3))
+            opts.leak = static_cast<float>(rng.uniform(0.05, 0.5));
+        if (rng.bernoulli(0.3))
+            opts.refractory = rng.uniformInt(1, 3);
+        const float vth = static_cast<float>(rng.uniform(0.3, 1.5));
+        const ResetMode reset =
+            rng.bernoulli(0.5) ? ResetMode::Zero : ResetMode::Subtract;
+        net.add<IfLayer>(vth, reset, opts);
+        cs.model.ifLayerIndices.push_back(net.numLayers() - 1);
+        desc << " if(" << vth << (reset == ResetMode::Zero ? ",0" : ",s")
+             << "," << opts.leak << "," << opts.refractory << ")";
+    };
+    auto addConv = [&](int out_c) {
+        const int k = rng.uniformInt(1, std::min(4, std::min(h, w) + 2));
+        const int stride = rng.uniformInt(1, 2);
+        int pad = rng.uniformInt(0, k - 1);
+        while (h + 2 * pad < k || w + 2 * pad < k)
+            ++pad;
+        net.add<Conv2d>(c, out_c, k, stride, pad)->initKaiming(rng);
+        desc << " conv" << c << "->" << out_c << "(k" << k << ",s" << stride
+             << ",p" << pad << ")";
+        c = out_c;
+        h = (h + 2 * pad - k) / stride + 1;
+        w = (w + 2 * pad - k) / stride + 1;
+    };
+
+    addConv(wide ? rng.uniformInt(129, 136) : rng.uniformInt(1, 8));
+    if (rng.bernoulli(0.85))
+        addIf();
+    if (std::min(h, w) >= 2 && rng.bernoulli(0.6)) {
+        net.add<AvgPool2d>(2);
+        desc << " avgpool2";
+        h /= 2;
+        w /= 2;
+        if (rng.bernoulli(0.5))
+            addIf();
+    }
+    if (rng.bernoulli(0.6)) {
+        addConv(rng.uniformInt(1, 10));
+        if (rng.bernoulli(0.8))
+            addIf();
+    }
+    net.add<Flatten>();
+    desc << " flatten";
+    const int features = c * h * w;
+    const int hidden = rng.uniformInt(2, 12);
+    net.add<Linear>(features, hidden)->initKaiming(rng);
+    desc << " fc" << features << "->" << hidden;
+    if (rng.bernoulli(0.5)) {
+        addIf();
+        const int classes = rng.uniformInt(2, 10);
+        net.add<Linear>(hidden, classes)->initKaiming(rng);
+        desc << " fc" << hidden << "->" << classes;
+        if (rng.bernoulli(0.15))
+            addIf();
+    }
+    // One forward pass gives the conv layers their geometry (mapping
+    // reads output positions).
+    net.forward(cs.image.reshaped({1, cs.image.dim(0), cs.image.dim(1),
+                                   cs.image.dim(2)}),
+                false);
+    cs.model.resetState();
+
+    cs.timesteps = rng.uniformInt(1, 6);
+    cs.encoderSeed = rng.next();
+    cs.abft = rng.bernoulli(0.4);
+    cs.sigma = rng.bernoulli(0.25) ? 0.05 : 0.0;
+    const int faults = rng.uniformInt(0, 3);
+    if (faults == 1)
+        cs.rel.faults = std::make_shared<StuckAtFaultModel>(0.05);
+    else if (faults == 2)
+        cs.rel.faults = std::make_shared<LineOpenFaultModel>(0.05, 0.05);
+    cs.rel.faultSeed = rng.next();
+    if (cs.rel.faults && rng.bernoulli(0.5)) {
+        cs.rel.spareCols = 2;
+        cs.rel.repair.enabled = true;
+    }
+    desc << " | T=" << cs.timesteps << " abft=" << cs.abft
+         << " sigma=" << cs.sigma << " faults=" << faults
+         << " spares=" << cs.rel.spareCols;
+    cs.desc = desc.str();
+    return cs;
+}
+
+TEST(SnnFastPlan, ConvPlanMatchesGenericWalkBitExact)
+{
+    // The preplanned path (fastEval on) against the generic layer walk
+    // on the scalar kernels (fastEval off): logits, spike counts, input
+    // rate and every ChipStats field must agree bit for bit.
+    constexpr int kCases = 520;
+    int planned = 0;
+    for (int n = 0; n < kCases; ++n) {
+        const uint64_t seed = 0x5c0a7ull + static_cast<uint64_t>(n);
+        ConvSnnCase cs = randomConvSnnCase(seed);
+        SnnRunResult runs[2];
+        ChipStats stats[2];
+        for (int fast = 0; fast < 2; ++fast) {
+            NebulaConfig config;
+            config.fastEval = fast != 0;
+            config.abft = cs.abft;
+            NebulaChip chip(config, cs.sigma, /*seed=*/seed);
+            chip.setReliability(cs.rel);
+            chip.programSnn(cs.model);
+            if (fast) {
+                ASSERT_TRUE(chip.snnFastPlanUsable()) << cs.desc;
+                ++planned;
+            }
+            // Two runs per chip: the second reuses the bound plan and
+            // must fold into the same cumulative stats.
+            chip.runSnn(cs.image, cs.timesteps, cs.encoderSeed ^ 1);
+            runs[fast] = chip.runSnn(cs.image, cs.timesteps, cs.encoderSeed);
+            stats[fast] = chip.stats();
+        }
+        const std::string detail =
+            snnRunMismatch(runs[1], stats[1], runs[0], stats[0]);
+        ASSERT_TRUE(detail.empty())
+            << "case " << n << " (seed " << seed << "): plan vs generic "
+            << "walk differ in " << detail << "\n  " << cs.desc;
+    }
+    EXPECT_EQ(planned, kCases);
+}
+
+TEST(SnnFastPlan, UnsupportedLayersKeepGenericWalk)
+{
+    // MaxPool and depthwise conv have no plan stage: the chip must
+    // report the plan unusable and serve the generic walk, which still
+    // agrees with the scalar-kernel walk.
+    for (int variant = 0; variant < 2; ++variant) {
+        Rng rng(900 + variant);
+        SpikingModel model;
+        Network &net = model.net;
+        if (variant == 0) {
+            net.add<Conv2d>(1, 4, 3, 1, 1)->initKaiming(rng);
+            net.add<IfLayer>();
+            model.ifLayerIndices.push_back(1);
+            net.add<MaxPool2d>(2);
+        } else {
+            net.add<DwConv2d>(1, 3, 1, 1)->initKaiming(rng);
+            net.add<IfLayer>();
+            model.ifLayerIndices.push_back(1);
+        }
+        net.add<Flatten>();
+        const int features = variant == 0 ? 4 * 3 * 3 : 6 * 6;
+        net.add<Linear>(features, 5)->initKaiming(rng);
+        Tensor image({1, 6, 6});
+        for (long long i = 0; i < image.size(); ++i)
+            image[i] = static_cast<float>(rng.uniform());
+        net.forward(image.reshaped({1, 1, 6, 6}), false);
+        model.resetState();
+
+        SnnRunResult runs[2];
+        ChipStats stats[2];
+        for (int fast = 0; fast < 2; ++fast) {
+            NebulaConfig config;
+            config.fastEval = fast != 0;
+            NebulaChip chip(config);
+            chip.programSnn(model);
+            EXPECT_FALSE(chip.snnFastPlanUsable()) << "variant " << variant;
+            runs[fast] = chip.runSnn(image, 5, /*encoder_seed=*/17);
+            stats[fast] = chip.stats();
+        }
+        EXPECT_EQ(snnRunMismatch(runs[1], stats[1], runs[0], stats[0]), "")
+            << "variant " << variant;
+        EXPECT_GT(stats[1].crossbarEvals, 0);
+    }
+}
+
+TEST(SnnFastPlan, ServedTopologiesArePlanned)
+{
+    // Every served SNN topology (MLP and LeNet-5) runs the plan.
+    SyntheticDigits data(8, 16, 61);
+    for (const char *name : {"mlp3", "lenet5"}) {
+        Network net = std::string(name) == "mlp3"
+                          ? buildMlp3(16, 1, 10, 63)
+                          : buildLenet5(16, 1, 10, 63);
+        SpikingModel model = convertToSnn(net, data.firstImages(4));
+        NebulaChip chip;
+        chip.programSnn(model);
+        EXPECT_TRUE(chip.snnFastPlanUsable()) << name;
+    }
 }
 
 TEST(SeedDeterminism, ChipAndFunctionalShareEncoderStream)

@@ -203,6 +203,40 @@ TEST(Golden, SnnSpikeCountsOnChip)
     checkGolden("snn_spikes.txt", g);
 }
 
+TEST(Golden, SnnConvSpikeCountsOnChip)
+{
+    // Conv SNN: LeNet-5 at 16x16 (conv / avg-pool / IF stages ahead of
+    // the FC head), so the conv windows, the pools and every IF layer
+    // between them are pinned, along with the chip counters.
+    constexpr int kConvImage = 16;
+    constexpr int kConvSteps = 20;
+    SyntheticDigits data(16, kConvImage, /*seed=*/81);
+    Network net = buildLenet5(kConvImage, 1, kClasses, /*seed=*/83);
+    SpikingModel model = convertToSnn(net, data.firstImages(8));
+    NebulaChip chip;
+    chip.programSnn(model);
+
+    Golden g;
+    for (int i = 0; i < 2; ++i) {
+        const uint64_t seed =
+            deriveRequestSeed(kSeedSalt, 200 + static_cast<uint64_t>(i));
+        const SnnRunResult r =
+            chip.runSnn(data.image(i), kConvSteps, seed);
+        const std::string p = "image" + std::to_string(i) + ".";
+        addInt(g, p + "total_spikes", r.totalSpikes);
+        for (size_t k = 0; k < r.ifSpikes.size(); ++k)
+            addInt(g, p + "if" + std::to_string(k) + ".spikes",
+                   r.ifSpikes[k]);
+        addFloat(g, p + "input_rate", r.inputRate);
+        addTensor(g, p + "logit", r.logits);
+        addInt(g, p + "class", r.predictedClass());
+    }
+    addInt(g, "stats.crossbar_evals", chip.stats().crossbarEvals);
+    addInt(g, "stats.noc_packets", chip.stats().nocPackets);
+    addFloat(g, "stats.crossbar_energy", chip.stats().crossbarEnergy);
+    checkGolden("snn_conv_spikes.txt", g);
+}
+
 TEST(Golden, HybridAccumulatorSums)
 {
     GoldenFixture fix;

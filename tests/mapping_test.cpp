@@ -191,8 +191,9 @@ TEST_P(MapperRfSweep, ChainCoversReceptiveField)
     if (!m.needsAdc) {
         EXPECT_GE(m.chain * 128, m.rf);
         // chain is the smallest power of two covering Rf
-        if (m.chain > 1)
+        if (m.chain > 1) {
             EXPECT_LT(m.chain / 2 * 128, m.rf);
+        }
     } else {
         EXPECT_GE(m.coreSplit * 2048, m.rf);
     }

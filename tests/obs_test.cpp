@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "arch/chip.hpp"
 #include "common/logging.hpp"
 #include "common/stats.hpp"
 #include "nn/datasets.hpp"
@@ -431,6 +432,70 @@ TEST(TraceTest, MultiWorkerEngineProducesSaneTracks)
     std::ostringstream os;
     session->writeJson(os);
     expectBalancedJson(os.str());
+}
+
+TEST(TraceTest, TracedConvSnnRunsTheServedPath)
+{
+    // A trace must not switch kernels: the traced run takes the same
+    // preplanned SNN path as an untraced one, gives bit-identical
+    // results and counters, and still reports every mapped layer.
+    TraceQuiesce quiesce;
+    SyntheticDigits data(8, 16, /*seed=*/5);
+    Network net = buildLenet5(16, 1, 10, /*seed=*/9);
+    SpikingModel model = convertToSnn(net, data.firstImages(4));
+    constexpr int kSteps = 6;
+    constexpr uint64_t kSeed = 99;
+
+    NebulaChip plain;
+    plain.programSnn(model);
+    ASSERT_TRUE(plain.snnFastPlanUsable());
+    const SnnRunResult untraced = plain.runSnn(data.image(0), kSteps, kSeed);
+
+    NebulaChip traced_chip;
+    traced_chip.programSnn(model);
+    TraceSession::start();
+    const SnnRunResult traced =
+        traced_chip.runSnn(data.image(0), kSteps, kSeed);
+    auto session = TraceSession::stop();
+    ASSERT_TRUE(session);
+
+    ASSERT_EQ(traced.logits.size(), untraced.logits.size());
+    for (long long i = 0; i < traced.logits.size(); ++i)
+        EXPECT_EQ(traced.logits[i], untraced.logits[i]) << "logit " << i;
+    EXPECT_EQ(traced.ifSpikes, untraced.ifSpikes);
+    EXPECT_EQ(traced.inputRate, untraced.inputRate);
+    const ChipStats &a = traced_chip.stats(), &b = plain.stats();
+    EXPECT_EQ(a.crossbarEvals, b.crossbarEvals);
+    EXPECT_EQ(a.crossbarEnergy, b.crossbarEnergy);
+    EXPECT_EQ(a.nocPackets, b.nocPackets);
+    EXPECT_EQ(a.nocEnergy, b.nocEnergy);
+    EXPECT_EQ(a.spikes, b.spikes);
+
+    const auto tracks = session->tracks();
+    ASSERT_EQ(tracks.size(), 1u);
+    expectWellFormed(tracks[0]);
+    int layer_evals = 0, timesteps = 0, transfers = 0, encodes = 0;
+    double span_evals = 0.0;
+    for (const TraceEvent &event : tracks[0].events) {
+        const std::string name = event.name;
+        if (event.phase == TraceEvent::Phase::Begin) {
+            layer_evals += name == "layer.eval";
+            timesteps += name == "timestep";
+            transfers += name == "transfer";
+            encodes += name == "encode";
+        } else if (event.phase == TraceEvent::Phase::End &&
+                   name == "layer.eval") {
+            for (const auto &arg : event.args)
+                if (std::string(arg.first) == "crossbar_evals")
+                    span_evals += arg.second;
+        }
+    }
+    const int mapped = traced_chip.mappedLayerCount();
+    EXPECT_EQ(layer_evals, mapped * kSteps);
+    EXPECT_EQ(transfers, mapped * kSteps);
+    EXPECT_EQ(timesteps, kSteps);
+    EXPECT_EQ(encodes, kSteps);
+    EXPECT_EQ(span_evals, static_cast<double>(a.crossbarEvals));
 }
 
 } // namespace

@@ -526,6 +526,7 @@ TEST(ServingTelemetry, StatuszStaysValidUnderConcurrentLoad)
 
     SyntheticDigits data(4, 16, /*seed=*/3);
     std::atomic<bool> stop{false};
+    std::atomic<int> ok_replies{0};
     std::thread traffic([&] {
         serving::ServingClient client;
         ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
@@ -535,6 +536,8 @@ TEST(ServingTelemetry, StatuszStaysValidUnderConcurrentLoad)
                 "tenant-load", "mlp3", serving::WireMode::Ann,
                 data.image(i++ % data.size()));
             EXPECT_EQ(reply.status, serving::WireStatus::Ok);
+            if (reply.status == serving::WireStatus::Ok)
+                ok_replies.fetch_add(1);
         }
         client.close();
     });
@@ -547,6 +550,15 @@ TEST(ServingTelemetry, StatuszStaysValidUnderConcurrentLoad)
         EXPECT_NE(body.find("\"tenants\""), std::string::npos);
         EXPECT_NE(body.find("\"slo\""), std::string::npos);
     }
+    // The scrapes can finish before the first reply lands on a loaded
+    // host: keep the traffic running until a few replies completed (a
+    // bounded wait, so a wedged server still fails the checks below).
+    constexpr int kMinReplies = 4;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (ok_replies.load() < kMinReplies &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
     stop.store(true);
     traffic.join();
 
