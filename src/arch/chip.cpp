@@ -267,7 +267,6 @@ NebulaChip::mapWeightLayer(const Layer &layer, int index,
     xp.variationSigma = variationSigma_;
     xp.variationSeed = seed_ + static_cast<uint64_t>(index) * 977;
     xp.spareCols = rel_.spareCols;
-    xp.fastEval = config_.fastEval;
     xp.abft = config_.abft;
 
     const int m = config_.atomicSize;
@@ -380,12 +379,17 @@ NebulaChip::programAnn(Network &net, const QuantizationResult &quant)
     publishMappingMetrics("ann", config_, mapping_);
 }
 
-Tensor
-NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
-                          bool binary)
+void
+NebulaChip::evaluateLayerBatch(MappedLayer &layer, std::vector<Tensor> &xs,
+                               bool binary,
+                               std::vector<ChipStats> &per_image)
 {
+    const int nimg = static_cast<int>(xs.size());
+    NEBULA_ASSERT(nimg > 0 && per_image.size() == xs.size(),
+                  "per-image stats vector mismatch");
     obs::TraceSpan span("chip", "layer.eval", config_.traceChip);
     span.arg("layer", static_cast<double>(layer.map.layerIndex));
+    span.arg("batch", static_cast<double>(nimg));
     const long long evals_before = stats_.crossbarEvals;
 
     const Layer &src = *layer.source;
@@ -396,13 +400,12 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
                            ? layer.outputCeiling / (levels - 1)
                            : 0.0f;
 
-    // DAC code -> voltage-factor table: the second half of the
-    // normalize chain depends only on the 4-bit code, so the divide is
-    // hoisted to one table build per layer (same expression per entry).
+    // The DAC has only `levels` distinct outputs: tabulate them once
+    // so the per-element normalize is a clamp + quantize + load. Spike
+    // drivers (binary) take the clamped value as is.
     std::vector<double> dac_out(static_cast<size_t>(levels));
     for (int c = 0; c < levels; ++c)
         dac_out[static_cast<size_t>(c)] = dac.normalizedOutput(c);
-
     auto normalize = [&](float v) {
         double x =
             std::clamp(static_cast<double>(v) / in_ceiling, 0.0, 1.0);
@@ -410,444 +413,8 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
             x = dac_out[static_cast<size_t>(dac.quantize(x))];
         return x;
     };
-
-    const bool fast = config_.fastEval;
-
-    // Per-column periphery bias drive, window-invariant: hoisted so the
-    // divide runs once per column per layer instead of once per column
-    // per window (the expression is kept verbatim, so injected values
-    // are bit-identical).
-    std::vector<std::vector<double>> bias_drive(layer.groups.size());
-    auto biasDrive = [&](size_t g, int group_offset,
-                         double kappa) -> const double * {
-        auto &bd = bias_drive[g];
-        if (bd.empty()) {
-            const int cols = layer.groups[g]->cols();
-            bd.resize(static_cast<size_t>(cols));
-            for (int j = 0; j < cols; ++j)
-                bd[static_cast<size_t>(j)] =
-                    kappa *
-                    layer.bias[static_cast<size_t>(group_offset + j)] /
-                    (layer.weightScale * in_ceiling);
-        }
-        return bd.data();
-    };
-    // Output-level scratch shared by every neuron-unit call this layer.
-    std::vector<int> codes;
-
-    // Fast path: a conv input element is gathered into up to k*k
-    // overlapping windows; run the clamp + DAC quantization once per
-    // element instead of once per gather. Same values, fewer ops.
-    std::vector<double> norm;
-    if (fast) {
-        norm.resize(static_cast<size_t>(input.size()));
-        for (long long i = 0; i < input.size(); ++i)
-            norm[static_cast<size_t>(i)] = normalize(input[i]);
-    }
-    auto normAt = [&](long long i) {
-        return fast ? norm[static_cast<size_t>(i)] : normalize(input[i]);
-    };
-
-    /**
-     * Collect the ascending active-row list of a spike window for the
-     * sparse driver path. Returns false (dense fallback) if any nonzero
-     * entry is not exactly 1.0 -- e.g. fractional values downstream of
-     * an averaging layer -- since evaluateSparse assumes unit drivers.
-     */
-    auto binaryActive = [](const std::vector<double> &window,
-                           SpikeVector &active) {
-        active.clear();
-        for (size_t r = 0; r < window.size(); ++r) {
-            if (window[r] == 0.0)
-                continue;
-            if (window[r] != 1.0)
-                return false;
-            active.push_back(static_cast<int>(r));
-        }
-        return true;
-    };
-
-    /**
-     * Evaluate one column group for one input window and emit
-     * (kernel, value) pairs. With a following activation the column
-     * currents (plus the periphery bias injection) pass through the
-     * group's saturating-ReLU neuron unit; otherwise the raw weighted
-     * sum is reconstructed in real units for the ADC/RU path.
-     */
-    auto evalGroup = [&](size_t g, int group_offset, bool use_nu,
-                         const std::vector<double> &window,
-                         const SpikeVector *active, auto &&emit) {
-        CrossbarArray &xbar = *layer.groups[g];
-        auto eval = active != nullptr
-                        ? xbar.evaluateSparse(*active, config_.cycleTime)
-                        : xbar.evaluateIdeal(window, config_.cycleTime);
-        ++stats_.crossbarEvals;
-        stats_.crossbarEnergy += eval.energy;
-        if (config_.abft) {
-            stats_.abftChecks += eval.check.checks;
-            stats_.abftViolations += eval.check.violations;
-            // The checksum column read-out is digitized alongside the
-            // data columns: one extra conversion per checked eval.
-            stats_.adcConversions += eval.check.checks;
-        }
-        const double kappa = xbar.currentScale();
-        if (use_nu) {
-            // The eval result is ours by value: inject the periphery
-            // bias current in place instead of copying the column.
-            std::vector<double> &currents = eval.currents;
-            const double *bias_cur = biasDrive(g, group_offset, kappa);
-            const int cols = xbar.cols();
-            for (int j = 0; j < cols; ++j)
-                currents[static_cast<size_t>(j)] += bias_cur[j];
-            codes.resize(static_cast<size_t>(cols));
-            layer.nus[g]->evaluateInto(currents.data(), cols,
-                                       codes.data());
-            for (int j = 0; j < cols; ++j)
-                emit(group_offset + j,
-                     codes[static_cast<size_t>(j)] * step);
-        } else {
-            for (int j = 0; j < xbar.cols(); ++j) {
-                const double sum_norm =
-                    eval.currents[static_cast<size_t>(j)] / kappa;
-                emit(group_offset + j,
-                     static_cast<float>(
-                         sum_norm * layer.weightScale * in_ceiling +
-                         layer.bias[static_cast<size_t>(group_offset + j)]));
-            }
-        }
-    };
-
-    /**
-     * Batched form of evalGroup: @p batch windows (row-major
-     * batch x rows) through one evaluateIdealBatch call, emitting
-     * (window, kernel, value). Per-window arithmetic is the same
-     * expression sequence as evalGroup, so results are bit-identical to
-     * @p batch separate calls -- only the matrix traffic is amortized.
-     */
-    std::vector<double> batch_currents;
-    auto evalGroupBatch = [&](size_t g, int group_offset, bool use_nu,
-                              const std::vector<double> &windows,
-                              int batch, auto &&emit) {
-        CrossbarArray &xbar = *layer.groups[g];
-        const CrossbarBatchEval eval =
-            xbar.evaluateIdealBatch(windows, batch, config_.cycleTime);
-        stats_.crossbarEvals += batch;
-        stats_.crossbarEnergy += eval.energy;
-        if (config_.abft) {
-            for (const CrossbarCheck &check : eval.checks) {
-                stats_.abftChecks += check.checks;
-                stats_.abftViolations += check.violations;
-                stats_.adcConversions += check.checks;
-            }
-        }
-        const double kappa = xbar.currentScale();
-        const int cols = xbar.cols();
-        std::vector<double> &currents = batch_currents;
-        currents.resize(static_cast<size_t>(cols));
-        for (int b = 0; b < batch; ++b) {
-            const double *cur =
-                eval.currents.data() + static_cast<size_t>(b) * cols;
-            if (use_nu) {
-                const double *bias_cur =
-                    biasDrive(g, group_offset, kappa);
-                for (int j = 0; j < cols; ++j)
-                    currents[static_cast<size_t>(j)] =
-                        cur[j] + bias_cur[j];
-                codes.resize(static_cast<size_t>(cols));
-                layer.nus[g]->evaluateInto(currents.data(), cols,
-                                           codes.data());
-                for (int j = 0; j < cols; ++j)
-                    emit(b, group_offset + j,
-                         codes[static_cast<size_t>(j)] * step);
-            } else {
-                for (int j = 0; j < cols; ++j) {
-                    const double sum_norm = cur[j] / kappa;
-                    emit(b, group_offset + j,
-                         static_cast<float>(
-                             sum_norm * layer.weightScale * in_ceiling +
-                             layer.bias[static_cast<size_t>(group_offset +
-                                                            j)]));
-                }
-            }
-        }
-    };
-
-    const bool use_nu = layer.hasActivation && !binary;
-    const int kernels = src.numKernels();
-    Tensor output;
-
-    if (src.kind() == LayerKind::Linear) {
-        const auto &fc = static_cast<const Linear &>(src);
-        NEBULA_ASSERT(input.size() == fc.inFeatures(),
-                      "linear input mismatch on chip");
-        std::vector<double> window(static_cast<size_t>(fc.inFeatures()));
-        for (long long i = 0; i < input.size(); ++i)
-            window[static_cast<size_t>(i)] = normAt(i);
-
-        SpikeVector active;
-        const SpikeVector *spikes =
-            fast && binary && binaryActive(window, active) ? &active
-                                                           : nullptr;
-        output = Tensor({1, kernels});
-        float *out_p = output.data();
-        for (size_t g = 0; g < layer.groups.size(); ++g)
-            evalGroup(g, static_cast<int>(g) * config_.atomicSize, use_nu,
-                      window, spikes, [&](int kernel, float value) {
-                          out_p[kernel] = value;
-                      });
-    } else if (src.kind() == LayerKind::Conv) {
-        const auto &conv = static_cast<const Conv2d &>(src);
-        const int k = conv.kernel(), stride = conv.stride(),
-                  pad = conv.padding();
-        const int in_c = conv.inChannels();
-        const int in_h = input.dim(2), in_w = input.dim(3);
-        const int out_h = (in_h + 2 * pad - k) / stride + 1;
-        const int out_w = (in_w + 2 * pad - k) / stride + 1;
-
-        output = Tensor({1, kernels, out_h, out_w});
-        float *out_p = output.data();
-        const int rf_conv = conv.receptiveField();
-
-        auto gatherWindow = [&](int oh, int ow, double *window) {
-            size_t r = 0;
-            for (int c = 0; c < in_c; ++c)
-                for (int kh = 0; kh < k; ++kh)
-                    for (int kw = 0; kw < k; ++kw, ++r) {
-                        const int ih = oh * stride - pad + kh;
-                        const int iw = ow * stride - pad + kw;
-                        window[r] =
-                            (ih < 0 || ih >= in_h || iw < 0 || iw >= in_w)
-                                ? 0.0
-                                : normAt((static_cast<long long>(c) *
-                                              in_h +
-                                          ih) *
-                                             in_w +
-                                         iw);
-                    }
-        };
-
-        if (fast && !binary) {
-            // ANN mode: batch one output row of windows per crossbar
-            // call so the cached conductance matrix streams once per
-            // out_w windows instead of once per window.
-            std::vector<double> windows(
-                static_cast<size_t>(out_w) * rf_conv);
-            for (int oh = 0; oh < out_h; ++oh) {
-                for (int ow = 0; ow < out_w; ++ow)
-                    gatherWindow(oh, ow,
-                                 windows.data() +
-                                     static_cast<size_t>(ow) * rf_conv);
-                for (size_t g = 0; g < layer.groups.size(); ++g)
-                    evalGroupBatch(
-                        g, static_cast<int>(g) * config_.atomicSize,
-                        use_nu, windows, out_w,
-                        [&](int ow, int kernel, float value) {
-                            out_p[(static_cast<size_t>(kernel) * out_h +
-                                   oh) *
-                                      out_w +
-                                  ow] = value;
-                        });
-            }
-        } else {
-            std::vector<double> window(static_cast<size_t>(rf_conv));
-            SpikeVector active;
-            for (int oh = 0; oh < out_h; ++oh) {
-                for (int ow = 0; ow < out_w; ++ow) {
-                    gatherWindow(oh, ow, window.data());
-                    const SpikeVector *spikes =
-                        fast && binary && binaryActive(window, active)
-                            ? &active
-                            : nullptr;
-                    for (size_t g = 0; g < layer.groups.size(); ++g)
-                        evalGroup(g,
-                                  static_cast<int>(g) * config_.atomicSize,
-                                  use_nu, window, spikes,
-                                  [&](int kernel, float value) {
-                                      out_p[(static_cast<size_t>(kernel) *
-                                                 out_h +
-                                             oh) *
-                                                out_w +
-                                            ow] = value;
-                                  });
-                }
-            }
-        }
-    } else if (src.kind() == LayerKind::DwConv) {
-        const auto &conv = static_cast<const DwConv2d &>(src);
-        const int k = conv.kernel(), stride = conv.stride(),
-                  pad = conv.padding();
-        const int channels = conv.channels();
-        const int in_h = input.dim(2), in_w = input.dim(3);
-        const int out_h = (in_h + 2 * pad - k) / stride + 1;
-        const int out_w = (in_w + 2 * pad - k) / stride + 1;
-        const int kpa = layer.dwKernelsPerAc;
-        NEBULA_ASSERT(kpa > 0, "depthwise layer not diagonal-packed");
-
-        output = Tensor({1, channels, out_h, out_w});
-        float *out_p = output.data();
-        SpikeVector active;
-        for (int oh = 0; oh < out_h; ++oh) {
-            for (int ow = 0; ow < out_w; ++ow) {
-                for (size_t g = 0; g < layer.groups.size(); ++g) {
-                    CrossbarArray &xbar = *layer.groups[g];
-                    const int local = xbar.cols();
-                    std::vector<double> window(
-                        static_cast<size_t>(xbar.rows()), 0.0);
-                    for (int j = 0; j < local; ++j) {
-                        const int c = static_cast<int>(g) * kpa + j;
-                        size_t r = static_cast<size_t>(j) * k * k;
-                        for (int kh = 0; kh < k; ++kh)
-                            for (int kw = 0; kw < k; ++kw, ++r) {
-                                const int ih = oh * stride - pad + kh;
-                                const int iw = ow * stride - pad + kw;
-                                window[r] =
-                                    (ih < 0 || ih >= in_h || iw < 0 ||
-                                     iw >= in_w)
-                                        ? 0.0
-                                        : normAt((static_cast<long long>(
-                                                      c) *
-                                                      in_h +
-                                                  ih) *
-                                                     in_w +
-                                                 iw);
-                            }
-                    }
-                    const SpikeVector *spikes =
-                        fast && binary && binaryActive(window, active)
-                            ? &active
-                            : nullptr;
-                    evalGroup(g, static_cast<int>(g) * kpa, use_nu, window,
-                              spikes, [&](int kernel, float value) {
-                                  out_p[(static_cast<size_t>(kernel) *
-                                             out_h +
-                                         oh) *
-                                            out_w +
-                                        ow] = value;
-                              });
-                }
-            }
-        }
-    } else {
-        NEBULA_PANIC("unsupported weight layer on chip: ", src.name());
-    }
-    span.arg("crossbar_evals",
-             static_cast<double>(stats_.crossbarEvals - evals_before));
-    return output;
-}
-
-Tensor
-NebulaChip::runAnn(const Tensor &image)
-{
-    NEBULA_ASSERT(annNet_, "no ANN programmed");
-    Network &net = *annNet_;
-
-    std::vector<int> batched;
-    batched.push_back(1);
-    for (int d = 0; d < image.rank(); ++d)
-        batched.push_back(image.dim(d));
-    Tensor x = image.reshaped(batched);
-
-    const long long evals_before = stats_.crossbarEvals;
-    const long long adc_before = stats_.adcConversions;
-    const long long checks_before = stats_.abftChecks;
-    const long long violations_before = stats_.abftViolations;
-
-    size_t next_mapped = 0;
-    for (int i = 0; i < net.numLayers(); ++i) {
-        Layer &layer = net.layer(i);
-        if (layer.isWeightLayer()) {
-            NEBULA_ASSERT(next_mapped < layers_.size(),
-                          "unmapped weight layer");
-            MappedLayer &mapped = layers_[next_mapped++];
-            x = evaluateLayer(mapped, x, false);
-            if (!mapped.hasActivation) {
-                // Output layer: partial sums digitized by the ADC.
-                stats_.adcConversions += x.size();
-                obs::recordInstant("chip", "adc.convert",
-                                   config_.traceChip);
-            }
-            // Inter-layer traffic: 4-bit activations to the next core.
-            obs::TraceSpan noc_span("noc", "transfer", config_.traceChip);
-            noc_span.arg("bits", static_cast<double>(
-                                     x.size() * config_.precisionBits));
-            stats_.nocPackets++;
-            stats_.nocEnergy += noc_.transferEnergy(
-                {0, 0}, {1, 0}, x.size() * config_.precisionBits);
-        } else if (layer.kind() == LayerKind::ClippedRelu) {
-            // Already applied by the preceding layer's neuron units.
-            continue;
-        } else {
-            x = layer.forward(x, false);
-        }
-    }
-    auto &registry = obs::MetricsRegistry::global();
-    registry.counter("chip.crossbar_evals")
-        .inc(static_cast<double>(stats_.crossbarEvals - evals_before));
-    registry.counter("chip.adc_conversions")
-        .inc(static_cast<double>(stats_.adcConversions - adc_before));
-    if (config_.abft) {
-        registry.counter("abft.checks")
-            .inc(static_cast<double>(stats_.abftChecks - checks_before));
-        registry.counter("abft.violations")
-            .inc(static_cast<double>(stats_.abftViolations -
-                                     violations_before));
-    }
-    return x;
-}
-
-void
-NebulaChip::evaluateLayerBatch(MappedLayer &layer, std::vector<Tensor> &xs,
-                               std::vector<ChipStats> &per_image)
-{
-    const int nimg = static_cast<int>(xs.size());
-    NEBULA_ASSERT(per_image.size() == xs.size(),
-                  "per-image stats vector mismatch");
-    if (nimg == 1 || !config_.fastEval) {
-        // Nothing to amortize (or the fast crossbar path is off):
-        // solo walk per image, splitting the stats delta per image.
-        for (int b = 0; b < nimg; ++b) {
-            const ChipStats before = stats_;
-            xs[static_cast<size_t>(b)] =
-                evaluateLayer(layer, xs[static_cast<size_t>(b)], false);
-            ChipStats &ps = per_image[static_cast<size_t>(b)];
-            ps.crossbarEvals +=
-                stats_.crossbarEvals - before.crossbarEvals;
-            ps.crossbarEnergy +=
-                stats_.crossbarEnergy - before.crossbarEnergy;
-            ps.abftChecks += stats_.abftChecks - before.abftChecks;
-            ps.abftViolations +=
-                stats_.abftViolations - before.abftViolations;
-            ps.adcConversions +=
-                stats_.adcConversions - before.adcConversions;
-        }
-        return;
-    }
-
-    obs::TraceSpan span("chip", "layer.eval", config_.traceChip);
-    span.arg("layer", static_cast<double>(layer.map.layerIndex));
-    span.arg("batch", static_cast<double>(nimg));
-    const long long evals_before = stats_.crossbarEvals;
-
-    const Layer &src = *layer.source;
-    const DacDriver dac(config_.precisionBits, 0.75);
-    const float in_ceiling = layer.inputCeiling;
-    const int levels = 1 << config_.precisionBits;
-    const float step = layer.hasActivation
-                           ? layer.outputCeiling / (levels - 1)
-                           : 0.0f;
-
-    // The DAC has only `levels` distinct outputs: tabulate them once
-    // so the per-element normalize is a clamp + quantize + load.
-    std::vector<double> dac_out(static_cast<size_t>(levels));
-    for (int c = 0; c < levels; ++c)
-        dac_out[static_cast<size_t>(c)] = dac.normalizedOutput(c);
-    auto normalize = [&](float v) {
-        double x =
-            std::clamp(static_cast<double>(v) / in_ceiling, 0.0, 1.0);
-        return dac_out[static_cast<size_t>(dac.quantize(x))];
-    };
-    // Clamp + DAC quantization once per input element per image, the
-    // same precompute the solo fast path runs.
+    // A conv input element is gathered into up to k*k overlapping
+    // windows: normalize it once per image, not once per gather.
     std::vector<std::vector<double>> norm(static_cast<size_t>(nimg));
     for (int b = 0; b < nimg; ++b) {
         const Tensor &x = xs[static_cast<size_t>(b)];
@@ -858,9 +425,7 @@ NebulaChip::evaluateLayerBatch(MappedLayer &layer, std::vector<Tensor> &xs,
     }
 
     // Per-column bias drive is window-invariant: hoist its divide out
-    // of the per-window loop. Lazily built per group on first use with
-    // the exact expression the per-window code ran, so the added
-    // currents are bit-identical.
+    // of the per-window loop. Lazily built per group on first use.
     std::vector<std::vector<double>> bias_drive(layer.groups.size());
     auto biasDrive = [&](size_t g, int group_offset,
                          double kappa) -> const double * {
@@ -879,18 +444,21 @@ NebulaChip::evaluateLayerBatch(MappedLayer &layer, std::vector<Tensor> &xs,
     // Scratch shared across windows/groups (grow-only, no per-window
     // allocation).
     std::vector<int> codes;
-    std::vector<double> batch_currents;
+    std::vector<double> currents;
 
     /**
      * Evaluate one column group for @p batch windows spanning the
      * whole image batch (@p per_img consecutive windows per image,
-     * image-major) and emit (window, kernel, value). The per-window
-     * arithmetic is the identical expression sequence as the solo
-     * evalGroup/evalGroupBatch lambdas in evaluateLayer, so values are
-     * bit-identical to per-image evaluation; per-image crossbar
-     * evals/energy come from the batch eval's per-window energies.
+     * image-major) and emit (window, kernel, value). With a following
+     * activation the column currents plus the periphery bias injection
+     * pass through the group's saturating-ReLU neuron unit; otherwise
+     * the raw weighted sum is reconstructed in real units for the
+     * ADC/RU path. Every window goes through the same expression
+     * sequence whatever the batch, so values are bit-identical to a
+     * batch of one.
      */
-    auto evalGroupBatch = [&](size_t g, int group_offset, bool use_nu,
+    const bool use_nu = layer.hasActivation && !binary;
+    auto evalGroupBatch = [&](size_t g, int group_offset,
                               const std::vector<double> &windows,
                               int batch, int per_img, auto &&emit) {
         CrossbarArray &xbar = *layer.groups[g];
@@ -905,7 +473,8 @@ NebulaChip::evaluateLayerBatch(MappedLayer &layer, std::vector<Tensor> &xs,
             if (config_.abft) {
                 // Per-window verdicts attribute to the image whose
                 // window raised them, so a batched violation flags
-                // only the affected request.
+                // only the affected request. The checksum read-out is
+                // digitized with the data columns: one more conversion.
                 const CrossbarCheck &check =
                     eval.checks[static_cast<size_t>(b)];
                 stats_.abftChecks += check.checks;
@@ -918,7 +487,6 @@ NebulaChip::evaluateLayerBatch(MappedLayer &layer, std::vector<Tensor> &xs,
         }
         const double kappa = xbar.currentScale();
         const int cols = xbar.cols();
-        std::vector<double> &currents = batch_currents;
         currents.resize(static_cast<size_t>(cols));
         for (int b = 0; b < batch; ++b) {
             const double *cur =
@@ -949,10 +517,14 @@ NebulaChip::evaluateLayerBatch(MappedLayer &layer, std::vector<Tensor> &xs,
         }
     };
 
-    const bool use_nu = layer.hasActivation;
     const int kernels = src.numKernels();
     std::vector<Tensor> outs;
     outs.reserve(static_cast<size_t>(nimg));
+    std::vector<float *> out_ptrs(static_cast<size_t>(nimg));
+    auto addOutput = [&](std::vector<int> shape) {
+        outs.emplace_back(Tensor(std::move(shape)));
+        out_ptrs[outs.size() - 1] = outs.back().data();
+    };
 
     if (src.kind() == LayerKind::Linear) {
         const auto &fc = static_cast<const Linear &>(src);
@@ -964,16 +536,11 @@ NebulaChip::evaluateLayerBatch(MappedLayer &layer, std::vector<Tensor> &xs,
             std::copy(norm[static_cast<size_t>(b)].begin(),
                       norm[static_cast<size_t>(b)].end(),
                       windows.begin() + static_cast<size_t>(b) * in_f);
+            addOutput({1, kernels});
         }
-        for (int b = 0; b < nimg; ++b)
-            outs.emplace_back(Tensor({1, kernels}));
-        std::vector<float *> out_ptrs(static_cast<size_t>(nimg));
-        for (int b = 0; b < nimg; ++b)
-            out_ptrs[static_cast<size_t>(b)] =
-                outs[static_cast<size_t>(b)].data();
         for (size_t g = 0; g < layer.groups.size(); ++g)
             evalGroupBatch(g, static_cast<int>(g) * config_.atomicSize,
-                           use_nu, windows, nimg, 1,
+                           windows, nimg, 1,
                            [&](int b, int kernel, float value) {
                                out_ptrs[static_cast<size_t>(b)][kernel] =
                                    value;
@@ -992,12 +559,8 @@ NebulaChip::evaluateLayerBatch(MappedLayer &layer, std::vector<Tensor> &xs,
             NEBULA_ASSERT(xs[static_cast<size_t>(b)].dim(2) == in_h &&
                               xs[static_cast<size_t>(b)].dim(3) == in_w,
                           "mixed image shapes in one micro-batch");
-            outs.emplace_back(Tensor({1, kernels, out_h, out_w}));
+            addOutput({1, kernels, out_h, out_w});
         }
-        std::vector<float *> out_ptrs(static_cast<size_t>(nimg));
-        for (int b = 0; b < nimg; ++b)
-            out_ptrs[static_cast<size_t>(b)] =
-                outs[static_cast<size_t>(b)].data();
 
         auto gatherWindow = [&](const std::vector<double> &n, int oh,
                                 int ow, double *window) {
@@ -1018,28 +581,32 @@ NebulaChip::evaluateLayerBatch(MappedLayer &layer, std::vector<Tensor> &xs,
                     }
         };
 
-        // One output row of windows per image per crossbar call,
-        // image-major: the cached conductance matrix streams once per
-        // nimg * out_w windows.
-        std::vector<double> windows(static_cast<size_t>(nimg) * out_w *
+        // ANN mode: one output row of windows per image per crossbar
+        // call, image-major, so the cached conductance matrix streams
+        // once per nimg * out_w windows. Spike mode: one window per
+        // call, every group before the next window -- the order
+        // SnnFastPlan bills energy in, which keeps the two paths'
+        // ChipStats bit-identical.
+        const int positions = out_h * out_w;
+        const int span_w = binary ? 1 : out_w;
+        std::vector<double> windows(static_cast<size_t>(nimg) * span_w *
                                     rf_conv);
-        for (int oh = 0; oh < out_h; ++oh) {
+        for (int p0 = 0; p0 < positions; p0 += span_w) {
             for (int b = 0; b < nimg; ++b)
-                for (int ow = 0; ow < out_w; ++ow)
-                    gatherWindow(norm[static_cast<size_t>(b)], oh, ow,
+                for (int s = 0; s < span_w; ++s)
+                    gatherWindow(norm[static_cast<size_t>(b)],
+                                 (p0 + s) / out_w, (p0 + s) % out_w,
                                  windows.data() +
-                                     (static_cast<size_t>(b) * out_w + ow) *
+                                     (static_cast<size_t>(b) * span_w + s) *
                                          rf_conv);
             for (size_t g = 0; g < layer.groups.size(); ++g)
                 evalGroupBatch(
-                    g, static_cast<int>(g) * config_.atomicSize, use_nu,
-                    windows, nimg * out_w, out_w,
+                    g, static_cast<int>(g) * config_.atomicSize, windows,
+                    nimg * span_w, span_w,
                     [&](int w, int kernel, float value) {
-                        out_ptrs[static_cast<size_t>(w / out_w)]
-                                [(static_cast<size_t>(kernel) * out_h +
-                                  oh) *
-                                     out_w +
-                                 w % out_w] = value;
+                        out_ptrs[static_cast<size_t>(w / span_w)]
+                                [static_cast<size_t>(kernel) * positions +
+                                 p0 + w % span_w] = value;
                     });
         }
     } else if (src.kind() == LayerKind::DwConv) {
@@ -1057,12 +624,8 @@ NebulaChip::evaluateLayerBatch(MappedLayer &layer, std::vector<Tensor> &xs,
             NEBULA_ASSERT(xs[static_cast<size_t>(b)].dim(2) == in_h &&
                               xs[static_cast<size_t>(b)].dim(3) == in_w,
                           "mixed image shapes in one micro-batch");
-            outs.emplace_back(Tensor({1, channels, out_h, out_w}));
+            addOutput({1, channels, out_h, out_w});
         }
-        std::vector<float *> out_ptrs(static_cast<size_t>(nimg));
-        for (int b = 0; b < nimg; ++b)
-            out_ptrs[static_cast<size_t>(b)] =
-                outs[static_cast<size_t>(b)].data();
 
         std::vector<double> windows;
         for (int oh = 0; oh < out_h; ++oh) {
@@ -1099,8 +662,8 @@ NebulaChip::evaluateLayerBatch(MappedLayer &layer, std::vector<Tensor> &xs,
                                 }
                         }
                     }
-                    evalGroupBatch(g, static_cast<int>(g) * kpa, use_nu,
-                                   windows, nimg, 1,
+                    evalGroupBatch(g, static_cast<int>(g) * kpa, windows,
+                                   nimg, 1,
                                    [&](int b, int kernel, float value) {
                                        out_ptrs[static_cast<size_t>(b)]
                                                [(static_cast<size_t>(
@@ -1119,6 +682,12 @@ NebulaChip::evaluateLayerBatch(MappedLayer &layer, std::vector<Tensor> &xs,
     span.arg("crossbar_evals",
              static_cast<double>(stats_.crossbarEvals - evals_before));
     xs = std::move(outs);
+}
+
+Tensor
+NebulaChip::runAnn(const Tensor &image)
+{
+    return std::move(runAnnBatch({image}).logits.front());
 }
 
 AnnBatchResult
@@ -1178,7 +747,7 @@ NebulaChip::runAnnBatch(const std::vector<Tensor> &images)
             NEBULA_ASSERT(next_mapped < layers_.size(),
                           "unmapped weight layer");
             MappedLayer &mapped = layers_[next_mapped++];
-            evaluateLayerBatch(mapped, xs, result.perImage);
+            evaluateLayerBatch(mapped, xs, false, result.perImage);
             if (!mapped.hasActivation) {
                 // Output layer: partial sums digitized by the ADC.
                 for (int b = 0; b < nimg; ++b) {
@@ -1418,7 +987,7 @@ NebulaChip::snnFastWindow(MappedLayer &layer, const int *rows, int n_rows,
             stats_.abftViolations += eval.check.violations;
             stats_.adcConversions += eval.check.checks;
         }
-        // Same expression sequence as evalGroup's non-NU emit with
+        // Same expression sequence as the layer walk's non-NU emit with
         // binary drivers: in_ceiling == 1 exactly, so folding it away
         // leaves emitAffine() bit-identical to the generic walk.
         const size_t offset = g * static_cast<size_t>(config_.atomicSize);
@@ -1606,8 +1175,9 @@ NebulaChip::runSnn(const Tensor &image, int timesteps,
 
     // The preplanned pipeline runs the same arithmetic without the
     // per-step tensor churn, and emits the same trace spans, so a trace
-    // sees the path that is served.
-    const bool use_plan = config_.fastEval && fastPlan_.usable;
+    // sees the path that is served. Other topologies take the shared
+    // layer walk with a batch of one.
+    const bool use_plan = fastPlan_.usable;
     if (use_plan) {
         if (fastPlan_.boundShape != batched)
             bindSnnFastPlan(batched);
@@ -1618,6 +1188,8 @@ NebulaChip::runSnn(const Tensor &image, int timesteps,
         encoder.buildPlan(image, fastPlan_.encPlan);
     }
 
+    std::vector<Tensor> xs(1);            // the walk's batch of one
+    std::vector<ChipStats> per_image(1); // unread: stats_ bills the same
     for (int t = 0; t < timesteps; ++t) {
         if (use_plan) {
             input_spikes += snnFastStep(encoder, t, result);
@@ -1632,7 +1204,7 @@ NebulaChip::runSnn(const Tensor &image, int timesteps,
             spikes = encoder.encode(image);
         }
         input_spikes += static_cast<long long>(spikes.sum());
-        Tensor x = spikes.reshaped(batched);
+        xs[0] = spikes.reshaped(batched);
 
         size_t next_mapped = 0;
         for (int i = 0; i < model.net.numLayers(); ++i) {
@@ -1640,22 +1212,23 @@ NebulaChip::runSnn(const Tensor &image, int timesteps,
             if (layer.isWeightLayer()) {
                 NEBULA_ASSERT(next_mapped < layers_.size(),
                               "unmapped weight layer");
-                x = evaluateLayer(layers_[next_mapped++], x, true);
+                evaluateLayerBatch(layers_[next_mapped++], xs, true,
+                                   per_image);
+                const long long bits = xs[0].size();
                 obs::TraceSpan noc_span("noc", "transfer",
                                         config_.traceChip);
-                noc_span.arg("bits", static_cast<double>(x.size()));
+                noc_span.arg("bits", static_cast<double>(bits));
                 stats_.nocPackets++;
-                stats_.nocEnergy +=
-                    noc_.transferEnergy({0, 0}, {1, 0}, x.size());
+                stats_.nocEnergy += noc_.transferEnergy({0, 0}, {1, 0}, bits);
             } else {
-                x = layer.forward(x, false);
+                xs[0] = layer.forward(xs[0], false);
             }
         }
         obs::TraceSpan acc_span("snn", "accumulate", config_.traceChip);
         if (t == 0)
-            result.logits = x;
+            result.logits = xs[0];
         else
-            result.logits.add(x);
+            result.logits.add(xs[0]);
     }
 
     result.inputRate =

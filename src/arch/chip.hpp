@@ -36,6 +36,10 @@
 
 namespace nebula {
 
+namespace testing {
+struct ChipAccess;
+} // namespace testing
+
 /** Counters gathered while running on the chip model. */
 struct ChipStats
 {
@@ -96,7 +100,10 @@ class NebulaChip
      */
     void programAnn(Network &net, const QuantizationResult &quant);
 
-    /** Run one (C, H, W) image through the programmed ANN. */
+    /**
+     * Run one (C, H, W) image through the programmed ANN: runAnnBatch()
+     * on a batch of one.
+     */
     Tensor runAnn(const Tensor &image);
 
     /**
@@ -108,7 +115,8 @@ class NebulaChip
      * to runAnn() on the same chip state: every window goes through
      * the identical clamp/DAC/crossbar/neuron-unit expression
      * sequence, only grouped differently. Per-image activity is
-     * returned alongside so callers can split energy attribution.
+     * returned alongside so callers can split energy attribution; each
+     * image's energy is the sum of its own windows' energies.
      */
     AnnBatchResult runAnnBatch(const std::vector<Tensor> &images);
 
@@ -187,7 +195,7 @@ class NebulaChip
 
     /**
      * True when the programmed SNN runs the preplanned, allocation-free
-     * timestep path (with fastEval); false means the generic layer walk.
+     * timestep path; false means the shared layer walk.
      */
     bool snnFastPlanUsable() const { return fastPlan_.usable; }
 
@@ -200,6 +208,9 @@ class NebulaChip
     const NebulaConfig &config() const { return config_; }
 
   private:
+    /** Runs the shared SNN layer walk on a plannable net (tests, bench). */
+    friend struct testing::ChipAccess;
+
     /** One weight layer programmed onto crossbar column groups. */
     struct MappedLayer
     {
@@ -229,24 +240,19 @@ class NebulaChip
                          const std::vector<float> &cells);
 
     /**
-     * Evaluate a mapped weight layer on a real-unit input tensor,
-     * returning real-unit pre-activations (1, K, H', W') or (1, K).
-     * @param binary True when inputs are spike maps (SNN drivers).
-     */
-    Tensor evaluateLayer(MappedLayer &layer, const Tensor &input,
-                         bool binary);
-
-    /**
-     * Batched ANN form of evaluateLayer: replace each xs[b] with the
-     * layer's real-unit output, evaluating all images' windows of a
-     * column group through one evaluateIdealBatch call. Per-image
-     * crossbar evals/energy are accumulated into @p per_image (and
-     * into stats_) using the batch eval's per-window energies, in the
-     * same per-image order the solo walk would. Falls back to
-     * per-image evaluateLayer when fastEval is off.
+     * The chip's one layer walk: replace each xs[b] (same-shape
+     * real-unit inputs) with the mapped weight layer's real-unit
+     * output, (1, K, H', W') or (1, K), evaluating the images' windows
+     * of a column group through evaluateIdealBatch calls. Solo ANN
+     * inference and the SNN walk are batches of one. Crossbar evals,
+     * energy and ABFT verdicts go into stats_ and, per window, into
+     * the owning image's @p per_image entry.
+     * @param binary True when inputs are spike maps (SNN drivers): no
+     *               DAC quantization, unit input ceiling, no neuron
+     *               unit, and convs evaluate one window per call.
      */
     void evaluateLayerBatch(MappedLayer &layer, std::vector<Tensor> &xs,
-                            std::vector<ChipStats> &per_image);
+                            bool binary, std::vector<ChipStats> &per_image);
 
     /** One (output index, kernel tap) pair an input row/column feeds. */
     struct ConvTap
@@ -297,20 +303,21 @@ class NebulaChip
      * Fast SNN execution plan, built at programSnn() time for pipelines
      * of Conv, Linear, AvgPool, IF and Flatten layers (every paper MLP
      * and LeNet topology). Runs the identical per-timestep arithmetic as
-     * the generic layer walk -- the same crossbar kernels, the same
-     * affine reconstruction expression, the same IF update -- through
+     * the shared layer walk (evaluateLayerBatch with a batch of one) --
+     * the same affine reconstruction expression, the same IF update,
+     * crossbar kernels pinned bit-identical to it -- through
      * preallocated buffers:
      *  - a weight stage fed by binary spikes (encoder or IF) drives only
      *    the active rows; a conv stage scatters each ascending input
      *    spike into the windows it touches, which leaves every window's
      *    row list ascending, so per-column summation order (currents,
-     *    energy, ABFT verdicts) matches the generic gather bit-for-bit;
+     *    energy, ABFT verdicts) matches the walk's gather bit-for-bit;
      *  - a weight stage fed fractional values (an average pool, or a
      *    weight layer with no IF between) evaluates dense, which the
      *    crossbar pins bit-identical to sparse on binary windows.
-     * differential_test and golden_test pin it to the generic path
-     * bit-for-bit; any other layer (DwConv, MaxPool, BatchNorm, ...)
-     * keeps the generic walk (usable == false).
+     * fastpath_test (through testing::ChipAccess) and golden_test pin
+     * it to the walk bit-for-bit; any other layer (DwConv, MaxPool,
+     * BatchNorm, ...) keeps the walk (usable == false).
      */
     struct SnnFastPlan
     {
@@ -342,7 +349,7 @@ class NebulaChip
     /**
      * Evaluate every column group of @p layer for one input window --
      * @p n_rows active rows at @p rows, or dense drive factors at
-     * @p dense when non-null -- billing stats_ as the generic walk does
+     * @p dense when non-null -- billing stats_ as the layer walk does
      * and emitting kernel j's pre-activation at out[j * out_stride].
      */
     void snnFastWindow(MappedLayer &layer, const int *rows, int n_rows,

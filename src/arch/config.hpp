@@ -1,6 +1,11 @@
 /**
  * @file
  * Top-level NEBULA architecture configuration (paper Sec. IV, Table III).
+ *
+ * No field selects an evaluation path: the chip has one layer walk
+ * (solo inference is a batch of one) plus the preplanned SNN pipeline
+ * chosen by topology, and the naive crossbar oracle those kernels are
+ * pinned to lives in src/testing.
  */
 
 #ifndef NEBULA_ARCH_CONFIG_HPP
@@ -76,17 +81,6 @@ struct NebulaConfig
      * no session is active is one relaxed atomic load per span site.
      */
     bool traceChip = true;
-
-    /**
-     * Use the fast evaluation paths: cached crossbar conductance views,
-     * sparse spike-driven evaluation in SNN mode, per-row window
-     * batching in ANN mode, input normalization precomputed per tensor
-     * element. False selects the original per-window scalar loops on
-     * uncached crossbars -- numerically identical (guarded by
-     * tests/differential_test.cpp), kept as the measurable
-     * pre-optimization baseline for the throughput benchmarks.
-     */
-    bool fastEval = true;
 
     /**
      * Online ABFT integrity checking: program one checksum column per

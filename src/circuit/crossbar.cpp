@@ -682,7 +682,8 @@ CrossbarArray::evalCache() const
             &conductance_[static_cast<size_t>(i) * physicalStride()];
         double *dense = &c.dense[static_cast<size_t>(i) * cols];
         // Summation order (logical columns, then reference) matches the
-        // scalar loop so the cached energy term is bit-identical.
+        // naive reference model so the cached energy term is
+        // bit-identical to it.
         double row_g = 0.0;
         for (int j = 0; j < cols; ++j) {
             const double g = row[remap_[static_cast<size_t>(j)]];
@@ -727,9 +728,6 @@ CrossbarArray::evaluateIdeal(const std::vector<double> &inputs,
 {
     NEBULA_ASSERT(inputs.size() == static_cast<size_t>(p_.rows),
                   "input vector size mismatch");
-    if (!p_.fastEval)
-        return evaluateIdealScalar(inputs, duration);
-
     CrossbarEval eval;
     evaluateIdealInto(inputs.data(), duration, eval);
     return eval;
@@ -739,14 +737,20 @@ void
 CrossbarArray::evaluateIdealInto(const double *inputs, double duration,
                                  CrossbarEval &eval) const
 {
-    NEBULA_ASSERT(p_.fastEval,
-                  "evaluateIdealInto requires the fast-eval cache");
+    eval.currents.resize(static_cast<size_t>(p_.cols));
+    const int n_active = soloWindow(inputs, eval.currents.data());
+    eval.energy = finishWindow(eval.currents.data(), cache_.active.data(),
+                               n_active, cache_.va.data(), 1, duration,
+                               eval.check);
+}
+
+int
+CrossbarArray::soloWindow(const double *inputs, double *out) const
+{
     const EvalCache &c = evalCache();
     const int cols = p_.cols;
-    eval.currents.assign(cols, 0.0);
 
-    // Active-row gather: the tiles below walk only driven rows, and the
-    // voltage expression matches evaluateIdealScalar exactly.
+    // Active-row gather: the tiles below walk only driven rows.
     std::vector<int> &active = cache_.active;
     std::vector<double> &va = cache_.va;
     active.clear();
@@ -761,67 +765,64 @@ CrossbarArray::evaluateIdealInto(const double *inputs, double duration,
     const int n_active = static_cast<int>(active.size());
 
     // Column currents through the register-tiled kernel: per column the
-    // partial sum accumulates in the same ascending row order as the
-    // scalar reference walk, so results stay bit-identical.
-    double *out = eval.currents.data();
+    // partial sum accumulates in ascending row order, the order of the
+    // naive reference, so results are bit-identical to it.
     int j = 0;
     for (; j + 16 <= cols; j += 16)
         soloColsTile16(c.dense.data(), static_cast<size_t>(cols),
                        active.data(), n_active, va.data(), j, out);
     if (j < cols)
         soloColsTileN(c.dense.data(), static_cast<size_t>(cols),
-                      active.data(), n_active, va.data(), j, cols - j,
-                      out);
+                      active.data(), n_active, va.data(), j, cols - j, out);
+    return n_active;
+}
 
-    // Reference column and dissipation: same ascending-row accumulation
-    // chains as before, just split from the column-current walk.
+double
+CrossbarArray::finishWindow(double *out, const int *active, int n_active,
+                            const double *va, size_t va_stride,
+                            double duration, CrossbarCheck &check) const
+{
+    const EvalCache &c = cache_;
+    // Reference column and dissipation: ascending active-row chains,
+    // separate from the column-current walk.
     double ref_current = 0.0;
     double power = 0.0;
     for (int a = 0; a < n_active; ++a) {
-        const double v = va[static_cast<size_t>(a)];
-        const size_t i = static_cast<size_t>(active[static_cast<size_t>(a)]);
+        const double v = va[static_cast<size_t>(a) * va_stride];
+        const size_t i = static_cast<size_t>(active[a]);
         ref_current += v * c.refCol[i];
         power += v * v * c.rowGsum[i];
     }
-    for (auto &current : eval.currents)
-        current -= ref_current;
+    for (int j = 0; j < p_.cols; ++j)
+        out[j] -= ref_current;
     if (c.anyColOpen) {
-        for (int j = 0; j < cols; ++j)
+        // An open source-line disconnects the neuron input entirely: it
+        // integrates nothing, rather than the bare reference current.
+        for (int j = 0; j < p_.cols; ++j)
             if (c.colOpen[static_cast<size_t>(j)])
-                eval.currents[static_cast<size_t>(j)] = 0.0;
+                out[j] = 0.0;
     }
-    eval.energy = power * duration;
-    eval.check = CrossbarCheck{};
+    check = CrossbarCheck{};
     if (p_.abft) {
-        // Checksum read-out: same ascending active-row chain as the
-        // reference column, so the verdict is bit-identical to the
-        // scalar path's.
+        // Checksum read-out: the same ascending chain as the reference
+        // column, so the verdict does not depend on which kernel
+        // produced the column currents.
         double chk_current = 0.0;
         double vsq = 0.0;
         for (int a = 0; a < n_active; ++a) {
-            const double v = va[static_cast<size_t>(a)];
-            const size_t i =
-                static_cast<size_t>(active[static_cast<size_t>(a)]);
-            chk_current += v * c.chkCol[i];
+            const double v = va[static_cast<size_t>(a) * va_stride];
+            chk_current += v * c.chkCol[static_cast<size_t>(active[a])];
             vsq += v * v;
         }
-        eval.check =
-            makeCheck(eval.currents.data(), chk_current, ref_current, vsq);
+        check = makeCheck(out, chk_current, ref_current, vsq);
     }
+    return power * duration;
 }
 
 CrossbarEval
 CrossbarArray::evaluateSparse(const SpikeVector &active,
                               double duration) const
 {
-    if (!p_.fastEval) {
-        // Baseline fallback: densify and take the scalar loop.
-        std::vector<double> inputs(static_cast<size_t>(p_.rows), 0.0);
-        for (int i : active)
-            inputs[static_cast<size_t>(i)] = 1.0;
-        return evaluateIdealScalar(inputs, duration);
-    }
-
     CrossbarEval eval;
     evaluateSparseInto(active, duration, eval);
     return eval;
@@ -839,15 +840,11 @@ void
 CrossbarArray::evaluateSparseInto(const int *active, int n_active,
                                   double duration, CrossbarEval &eval) const
 {
-    NEBULA_ASSERT(p_.fastEval,
-                  "evaluateSparseInto requires the fast-eval cache");
     const EvalCache &c = evalCache();
     const int cols = p_.cols;
     const double v = p_.readVoltage;
     eval.currents.assign(cols, 0.0);
 
-    double ref_current = 0.0;
-    double power = 0.0;
     double *out = eval.currents.data();
     int a = 0;
     for (; a + 4 <= n_active; a += 4) {
@@ -859,46 +856,17 @@ CrossbarArray::evaluateSparseInto(const int *active, int n_active,
                         &c.dense[static_cast<size_t>(i1) * cols],
                         &c.dense[static_cast<size_t>(i2) * cols],
                         &c.dense[static_cast<size_t>(i3) * cols]);
-        ref_current += v * c.refCol[static_cast<size_t>(i0)];
-        ref_current += v * c.refCol[static_cast<size_t>(i1)];
-        ref_current += v * c.refCol[static_cast<size_t>(i2)];
-        ref_current += v * c.refCol[static_cast<size_t>(i3)];
-        power += v * v * c.rowGsum[static_cast<size_t>(i0)];
-        power += v * v * c.rowGsum[static_cast<size_t>(i1)];
-        power += v * v * c.rowGsum[static_cast<size_t>(i2)];
-        power += v * v * c.rowGsum[static_cast<size_t>(i3)];
     }
     for (; a < n_active; ++a) {
         const int i = active[a];
         NEBULA_ASSERT(i >= 0 && i < p_.rows, "active row out of range");
         accumulateRow(out, cols, v,
                       &c.dense[static_cast<size_t>(i) * cols]);
-        ref_current += v * c.refCol[static_cast<size_t>(i)];
-        power += v * v * c.rowGsum[static_cast<size_t>(i)];
     }
-    for (auto &current : eval.currents)
-        current -= ref_current;
-    if (c.anyColOpen) {
-        for (int j = 0; j < cols; ++j)
-            if (c.colOpen[static_cast<size_t>(j)])
-                eval.currents[static_cast<size_t>(j)] = 0.0;
-    }
-    eval.energy = power * duration;
-    eval.check = CrossbarCheck{};
-    if (p_.abft) {
-        // Separate ascending walk keeps the hot accumulation loop
-        // above untouched; the chain order matches evaluateIdeal on
-        // the densified vector, so verdicts stay bit-identical.
-        double chk_current = 0.0;
-        double vsq = 0.0;
-        for (int k = 0; k < n_active; ++k) {
-            chk_current +=
-                v * c.chkCol[static_cast<size_t>(active[k])];
-            vsq += v * v;
-        }
-        eval.check =
-            makeCheck(eval.currents.data(), chk_current, ref_current, vsq);
-    }
+    // Every spike drives its row at the full read voltage: one shared
+    // voltage (stride 0) for the epilogue.
+    eval.energy =
+        finishWindow(out, active, n_active, &v, 0, duration, eval.check);
 }
 
 CrossbarBatchEval
@@ -912,36 +880,23 @@ CrossbarArray::evaluateIdealBatch(const std::vector<double> &inputs,
 
     const int cols = p_.cols;
     const int rows = p_.rows;
-    CrossbarBatchEval eval;
-    if (!p_.fastEval) {
-        // Baseline fallback: B separate scalar evaluations.
-        eval.currents.resize(static_cast<size_t>(batch) * cols);
-        eval.energies.reserve(static_cast<size_t>(batch));
-        std::vector<double> window(static_cast<size_t>(rows));
-        for (int b = 0; b < batch; ++b) {
-            std::copy_n(inputs.begin() + static_cast<size_t>(b) * rows,
-                        rows, window.begin());
-            CrossbarEval one = evaluateIdealScalar(window, duration);
-            std::copy(one.currents.begin(), one.currents.end(),
-                      eval.currents.begin() +
-                          static_cast<size_t>(b) * cols);
-            eval.energies.push_back(one.energy);
-            eval.energy += one.energy;
-            if (p_.abft)
-                eval.checks.push_back(one.check);
-        }
-        return eval;
-    }
-
     const EvalCache &c = evalCache();
-    eval.currents.assign(static_cast<size_t>(batch) * cols, 0.0);
-    eval.energies.assign(static_cast<size_t>(batch), 0.0);
-
-    // Pre-scale every window's drive voltages once, with the exact
-    // clamp + supply expression of evaluateIdeal().
-    std::vector<double> volts(static_cast<size_t>(batch) * rows);
-    for (size_t n = 0; n < volts.size(); ++n)
-        volts[n] = std::clamp(inputs[n], 0.0, 1.0) * p_.readVoltage;
+    CrossbarBatchEval eval;
+    eval.currents.resize(static_cast<size_t>(batch) * cols);
+    eval.energies.resize(static_cast<size_t>(batch));
+    if (p_.abft)
+        eval.checks.resize(static_cast<size_t>(batch));
+    auto finish = [&](int b, const int *active, int n_active,
+                      const double *va, size_t va_stride) {
+        CrossbarCheck check;
+        const double energy = finishWindow(
+            &eval.currents[static_cast<size_t>(b) * cols], active, n_active,
+            va, va_stride, duration, check);
+        eval.energies[static_cast<size_t>(b)] = energy;
+        eval.energy += energy;
+        if (p_.abft)
+            eval.checks[static_cast<size_t>(b)] = check;
+    };
 
     // Register-tiled groups of four windows (the batched GEMM-style
     // path): gather the rows at least one window drives, pack the four
@@ -953,27 +908,23 @@ CrossbarArray::evaluateIdealBatch(const std::vector<double> &inputs,
     // to a standalone evaluateIdeal. Image windows share a lot of dark
     // rows (blank borders, post-ReLU zeros), so the shared active list
     // also skips most of the work the solo path skips.
-    std::vector<int> active;
-    std::vector<double> va;
-    active.reserve(static_cast<size_t>(rows));
-    va.reserve(static_cast<size_t>(rows) * 4);
+    std::vector<int> &active = cache_.active;
+    std::vector<double> &va = cache_.va;
     int b = 0;
     for (; b + 4 <= batch; b += 4) {
-        const double *v0 = &volts[static_cast<size_t>(b) * rows];
-        const double *v1 = v0 + rows;
-        const double *v2 = v1 + rows;
-        const double *v3 = v2 + rows;
+        const double *in = &inputs[static_cast<size_t>(b) * rows];
         active.clear();
         va.clear();
         for (int i = 0; i < rows; ++i) {
-            if (v0[i] == 0.0 && v1[i] == 0.0 && v2[i] == 0.0 &&
-                v3[i] == 0.0)
+            double v[4];
+            for (int w = 0; w < 4; ++w)
+                v[w] = std::clamp(in[static_cast<size_t>(w) * rows + i],
+                                  0.0, 1.0) *
+                       p_.readVoltage;
+            if (v[0] == 0.0 && v[1] == 0.0 && v[2] == 0.0 && v[3] == 0.0)
                 continue;
             active.push_back(i);
-            va.push_back(v0[i]);
-            va.push_back(v1[i]);
-            va.push_back(v2[i]);
-            va.push_back(v3[i]);
+            va.insert(va.end(), v, v + 4);
         }
         const int n_active = static_cast<int>(active.size());
         double *out = &eval.currents[static_cast<size_t>(b) * cols];
@@ -986,106 +937,18 @@ CrossbarArray::evaluateIdealBatch(const std::vector<double> &inputs,
             windowColsTile4xN(c.dense.data(), static_cast<size_t>(cols),
                               active.data(), n_active, va.data(), j,
                               cols - j, out, static_cast<size_t>(cols));
+        // The epilogue walks the shared active rows with this window's
+        // voltage column; the other windows' rows add exact zeros.
+        for (int w = 0; w < 4; ++w)
+            finish(b + w, active.data(), n_active, va.data() + w, 4);
     }
+    // Leftover windows (and a batch of one) take the solo kernel.
     for (; b < batch; ++b) {
-        double *out = &eval.currents[static_cast<size_t>(b) * cols];
-        const double *v = &volts[static_cast<size_t>(b) * rows];
-        for (int i = 0; i < rows; ++i) {
-            if (v[i] == 0.0)
-                continue;
-            accumulateRow(out, cols, v[i],
-                          &c.dense[static_cast<size_t>(i) * cols]);
-        }
+        const int n_active =
+            soloWindow(&inputs[static_cast<size_t>(b) * rows],
+                       &eval.currents[static_cast<size_t>(b) * cols]);
+        finish(b, active.data(), n_active, va.data(), 1);
     }
-
-    // Reference subtraction, open-column masking and per-window energy:
-    // separate accumulation chains from the column currents, walked in
-    // the same ascending row order as evaluateIdeal.
-    for (b = 0; b < batch; ++b) {
-        const double *v = &volts[static_cast<size_t>(b) * rows];
-        double ref_current = 0.0;
-        double power = 0.0;
-        for (int i = 0; i < rows; ++i) {
-            const double vi = v[i];
-            if (vi == 0.0)
-                continue;
-            ref_current += vi * c.refCol[static_cast<size_t>(i)];
-            power += vi * vi * c.rowGsum[static_cast<size_t>(i)];
-        }
-        double *out = &eval.currents[static_cast<size_t>(b) * cols];
-        for (int j = 0; j < cols; ++j) {
-            out[j] -= ref_current;
-            if (c.anyColOpen && c.colOpen[static_cast<size_t>(j)])
-                out[j] = 0.0;
-        }
-        eval.energies[static_cast<size_t>(b)] = power * duration;
-        eval.energy += eval.energies[static_cast<size_t>(b)];
-        if (p_.abft) {
-            // Per-window checksum comparison: same ascending-row chain
-            // as the solo path on this window, so each verdict is
-            // bit-identical to a standalone evaluateIdeal().
-            double chk_current = 0.0;
-            double vsq = 0.0;
-            for (int i = 0; i < rows; ++i) {
-                const double vi = v[i];
-                if (vi == 0.0)
-                    continue;
-                chk_current += vi * c.chkCol[static_cast<size_t>(i)];
-                vsq += vi * vi;
-            }
-            eval.checks.push_back(
-                makeCheck(out, chk_current, ref_current, vsq));
-        }
-    }
-    return eval;
-}
-
-CrossbarEval
-CrossbarArray::evaluateIdealScalar(const std::vector<double> &inputs,
-                                   double duration) const
-{
-    CrossbarEval eval;
-    eval.currents.assign(p_.cols, 0.0);
-
-    const int ref = physicalDataCols();
-    double ref_current = 0.0;
-    double chk_current = 0.0;
-    double vsq = 0.0;
-    double power = 0.0;
-    for (int i = 0; i < p_.rows; ++i) {
-        const double v = std::clamp(inputs[i], 0.0, 1.0) * p_.readVoltage;
-        if (v == 0.0)
-            continue;
-        const double *row =
-            &conductance_[static_cast<size_t>(i) * physicalStride()];
-        double row_g = 0.0;
-        for (int j = 0; j < p_.cols; ++j) {
-            const double g = row[remap_[static_cast<size_t>(j)]];
-            eval.currents[static_cast<size_t>(j)] += v * g;
-            row_g += g;
-        }
-        ref_current += v * row[ref];
-        row_g += row[ref];
-        if (p_.abft) {
-            chk_current += v * row[ref + 1];
-            vsq += v * v;
-            row_g += row[ref + 1];
-        }
-        power += v * v * row_g;
-    }
-    for (auto &current : eval.currents)
-        current -= ref_current;
-    if (!faults_.empty()) {
-        // An open source-line disconnects the neuron input entirely: it
-        // integrates nothing, rather than the bare reference current.
-        for (int j = 0; j < p_.cols; ++j)
-            if (faults_.colOpen(remap_[static_cast<size_t>(j)]))
-                eval.currents[static_cast<size_t>(j)] = 0.0;
-    }
-    eval.energy = power * duration;
-    if (p_.abft)
-        eval.check =
-            makeCheck(eval.currents.data(), chk_current, ref_current, vsq);
     return eval;
 }
 
@@ -1143,10 +1006,9 @@ CrossbarArray::evaluateParasitic(const std::vector<double> &inputs,
     // solver workspace lives in the eval cache so repeated solves (the
     // supply-voltage ablation sweeps) stop churning the allocator; it
     // is fully re-initialized below, so results are unchanged.
-    std::vector<double> local_vr, local_vc, local_source;
-    std::vector<double> &vr = p_.fastEval ? cache_.vr : local_vr;
-    std::vector<double> &vc = p_.fastEval ? cache_.vc : local_vc;
-    std::vector<double> &source = p_.fastEval ? cache_.source : local_source;
+    std::vector<double> &vr = cache_.vr;
+    std::vector<double> &vc = cache_.vc;
+    std::vector<double> &source = cache_.source;
     vr.assign(static_cast<size_t>(rows) * cols, 0.0);
     vc.assign(static_cast<size_t>(rows) * cols, 0.0);
     source.resize(static_cast<size_t>(rows));

@@ -31,9 +31,10 @@
  * over a contiguous matrix with no remap gathers and no per-row
  * conductance re-summation. evaluateSparse() exploits SNN spike
  * sparsity by walking only the active rows of that view; results are
- * bit-identical to evaluateIdeal() on the densified spike vector.
- * CrossbarParams::fastEval == false falls back to the original scalar
- * loops (the pre-cache behaviour), kept as a measurable baseline.
+ * bit-identical to evaluateIdeal() on the densified spike vector. Every
+ * entry point (solo, sparse, batched) shares one epilogue for the
+ * reference subtraction, open-column mask, energy and ABFT verdict; the
+ * naive oracle the kernels are pinned to lives in src/testing.
  *
  * Reliability: the array can carry an explicit FaultMap (stuck cells,
  * pinning drift, retention decay, line opens) injected before
@@ -80,13 +81,6 @@ struct CrossbarParams
     /** Relative device-to-device conductance variation (0 = none). */
     double variationSigma = 0.0;
     uint64_t variationSeed = 7;
-
-    /**
-     * Use the cached fast evaluation paths (default). False selects the
-     * original scalar per-cell loops -- numerically identical, kept as
-     * the measurable pre-optimization baseline for benchmarks.
-     */
-    bool fastEval = true;
 
     /**
      * Program and read an ABFT checksum column: one extra physical
@@ -243,9 +237,7 @@ class CrossbarArray
      * evaluateIdeal() into a caller-owned result: @p inputs holds
      * rows() normalized voltage factors, and the active-row scratch
      * lives in the array's EvalCache, so per-window inner loops make no
-     * allocation. Requires fastEval (the scalar baseline lives in the
-     * by-value form, which forwards here otherwise); values are
-     * identical to it.
+     * allocation. The by-value form forwards here.
      */
     void evaluateIdealInto(const double *inputs, double duration,
                            CrossbarEval &eval) const;
@@ -263,8 +255,7 @@ class CrossbarArray
 
     /**
      * evaluateSparse() into a caller-owned result so per-timestep inner
-     * loops reuse one allocation. Requires fastEval (the dense fallback
-     * lives in the by-value form); values are identical to it.
+     * loops reuse one allocation. The by-value form forwards here.
      */
     void evaluateSparseInto(const SpikeVector &active, double duration,
                             CrossbarEval &eval) const;
@@ -283,8 +274,10 @@ class CrossbarArray
      * call. Windows are processed in register-blocked groups of four: a
      * cached conductance row is streamed once per group and multiplied
      * into four windows' accumulators (GEMM-style), amortizing the
-     * matrix traffic across windows; per-window results -- currents and
-     * energies -- are bit-identical to @p batch separate
+     * matrix traffic across windows. Leftover windows (batch % 4, so
+     * every window of a batch of one) run evaluateIdealInto()'s solo
+     * kernel. Per-window results -- currents, energies and ABFT
+     * verdicts -- are bit-identical to @p batch separate
      * evaluateIdeal() calls.
      */
     CrossbarBatchEval evaluateIdealBatch(const std::vector<double> &inputs,
@@ -370,7 +363,7 @@ class CrossbarArray
         /** Gauss-Seidel node-voltage workspace (parasitic solve). */
         std::vector<double> vr, vc, source;
 
-        /** Driven-row indices and voltages of evaluateIdealInto(). */
+        /** Driven-row indices and voltages of the current window(s). */
         std::vector<int> active;
         std::vector<double> va;
     };
@@ -381,9 +374,24 @@ class CrossbarArray
     /** Mark every derived view stale (programmed state changed). */
     void invalidateCache() { cache_.valid = false; }
 
-    /** Original scalar evaluation loop (fastEval == false baseline). */
-    CrossbarEval evaluateIdealScalar(const std::vector<double> &inputs,
-                                     double duration) const;
+    /**
+     * Solo kernel: gather one window's driven rows (clamped, supply-
+     * scaled) into cache_.active / cache_.va and write its raw column
+     * currents to @p out through the 16-column register tiles. Returns
+     * the driven-row count.
+     */
+    int soloWindow(const double *inputs, double *out) const;
+
+    /**
+     * The one evaluation epilogue: subtract the reference-column
+     * current from @p out, zero open columns, and produce the ABFT
+     * verdict into @p check; returns the window's ohmic energy. Walks
+     * the @p n_active ascending driven rows at @p active, row a driven
+     * at va[a * va_stride] (stride 0: one shared spike voltage).
+     */
+    double finishWindow(double *out, const int *active, int n_active,
+                        const double *va, size_t va_stride, double duration,
+                        CrossbarCheck &check) const;
 
     /** Physical data columns (logical + spares). */
     int physicalDataCols() const { return p_.cols + p_.spareCols; }
@@ -399,8 +407,8 @@ class CrossbarArray
 
     /**
      * ABFT residual comparison from one evaluation's aggregates, all
-     * accumulated in ascending row/column order so the fast and scalar
-     * paths produce bit-identical verdicts.
+     * accumulated in ascending row/column order so every kernel
+     * produces bit-identical verdicts.
      *
      * @param currents    Final (reference-subtracted, open-masked)
      *                    data-column currents.

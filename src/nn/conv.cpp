@@ -59,8 +59,11 @@ Conv2d::im2col(const Tensor &input, int n, std::vector<float> &col) const
     // col: (Cin*K*K) x (outH*outW), row-major.
     const int positions = outH_ * outW_;
     col.assign(static_cast<size_t>(receptiveField()) * positions, 0.0f);
+    const size_t plane = static_cast<size_t>(inH_) * inW_;
     size_t r = 0;
     for (int c = 0; c < inChannels_; ++c) {
+        const float *src =
+            input.data() + (static_cast<size_t>(n) * inChannels_ + c) * plane;
         for (int kh = 0; kh < kernel_; ++kh) {
             for (int kw = 0; kw < kernel_; ++kw, ++r) {
                 float *dst = col.data() + r * positions;
@@ -68,11 +71,12 @@ Conv2d::im2col(const Tensor &input, int n, std::vector<float> &col) const
                     const int ih = oh * stride_ - padding_ + kh;
                     if (ih < 0 || ih >= inH_)
                         continue;
+                    const float *row = src + static_cast<size_t>(ih) * inW_;
                     for (int ow = 0; ow < outW_; ++ow) {
                         const int iw = ow * stride_ - padding_ + kw;
                         if (iw < 0 || iw >= inW_)
                             continue;
-                        dst[oh * outW_ + ow] = input.at(n, c, ih, iw);
+                        dst[oh * outW_ + ow] = row[iw];
                     }
                 }
             }
@@ -84,8 +88,11 @@ void
 Conv2d::col2im(const std::vector<float> &col, Tensor &grad_input, int n) const
 {
     const int positions = outH_ * outW_;
+    const size_t plane = static_cast<size_t>(inH_) * inW_;
     size_t r = 0;
     for (int c = 0; c < inChannels_; ++c) {
+        float *dst = grad_input.data() +
+                     (static_cast<size_t>(n) * inChannels_ + c) * plane;
         for (int kh = 0; kh < kernel_; ++kh) {
             for (int kw = 0; kw < kernel_; ++kw, ++r) {
                 const float *src = col.data() + r * positions;
@@ -93,11 +100,12 @@ Conv2d::col2im(const std::vector<float> &col, Tensor &grad_input, int n) const
                     const int ih = oh * stride_ - padding_ + kh;
                     if (ih < 0 || ih >= inH_)
                         continue;
+                    float *row = dst + static_cast<size_t>(ih) * inW_;
                     for (int ow = 0; ow < outW_; ++ow) {
                         const int iw = ow * stride_ - padding_ + kw;
                         if (iw < 0 || iw >= inW_)
                             continue;
-                        grad_input.at(n, c, ih, iw) += src[oh * outW_ + ow];
+                        row[iw] += src[oh * outW_ + ow];
                     }
                 }
             }

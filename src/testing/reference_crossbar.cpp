@@ -168,7 +168,8 @@ CaseConfig::describe() const
         << " mode=" << (snnMode ? "snn" : "ann")
         << " faults=" << (withFaults ? 1 : 0)
         << " wv=" << (writeVerify ? 1 : 0) << " repair=" << (repair ? 1 : 0)
-        << " sigma=" << variationSigma << " sparsity=" << sparsity;
+        << " sigma=" << variationSigma << " sparsity=" << sparsity
+        << " abft=" << (abft ? 1 : 0);
     return oss.str();
 }
 
@@ -193,7 +194,7 @@ randomCase(uint64_t seed)
 }
 
 BuiltCase
-buildCase(const CaseConfig &config, bool fast_eval)
+buildCase(const CaseConfig &config)
 {
     CrossbarParams params;
     params.rows = config.rows;
@@ -203,7 +204,7 @@ buildCase(const CaseConfig &config, bool fast_eval)
     params.readVoltage = config.snnMode ? 0.25 : 0.75;
     params.variationSigma = config.variationSigma;
     params.variationSeed = config.seed ^ 0x5eedull;
-    params.fastEval = fast_eval;
+    params.abft = config.abft;
 
     BuiltCase built;
     built.xbar = std::make_unique<CrossbarArray>(params);
@@ -306,6 +307,11 @@ shrinkCase(const CaseConfig &failing, const CasePredicate &still_fails,
         if (cur.withFaults) {
             CaseConfig c = cur;
             c.withFaults = false;
+            changed |= try_apply(c);
+        }
+        if (cur.abft) {
+            CaseConfig c = cur;
+            c.abft = false;
             changed |= try_apply(c);
         }
         if (cur.variationSigma > 0.0) {

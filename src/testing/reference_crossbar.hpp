@@ -4,8 +4,9 @@
  *
  * The production evaluators in src/circuit/crossbar.cpp are optimized
  * (cached remapped conductance views, sparse active-row walks, batched
- * windows, reused solver workspaces). This harness pins them to a
- * deliberately naive, obviously-correct reference:
+ * windows, reused solver workspaces). This harness is their only
+ * oracle: it pins them to a deliberately naive, obviously-correct
+ * reference:
  *
  *  - referenceIdeal: textbook column-by-column Kirchhoff summation read
  *    through the public logical-view accessors, no caching;
@@ -66,6 +67,7 @@ struct CaseConfig
     bool repair = false;
     double variationSigma = 0.0;
     double sparsity = 0.0;    //!< fraction of zero input rows
+    bool abft = false;        //!< program the ABFT checksum column
 
     std::string describe() const;
 };
@@ -85,10 +87,10 @@ CaseConfig randomCase(uint64_t seed);
 /**
  * Materialize a case: build the array (optionally fault-injected),
  * program random weights with the configured mitigations, and draw the
- * input vector at the configured sparsity. @p fast_eval selects the
- * production fast paths or the scalar baseline on the built array.
+ * input vector at the configured sparsity. randomCase() leaves abft
+ * off, so the draws of every existing generator are unchanged.
  */
-BuiltCase buildCase(const CaseConfig &config, bool fast_eval = true);
+BuiltCase buildCase(const CaseConfig &config);
 
 /**
  * Compare two evaluations. @p tolerance 0 demands bit-exact equality;

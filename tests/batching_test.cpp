@@ -263,31 +263,6 @@ TEST(BatchingChip, RunAnnBatchMatchesSoloDepthwise)
     expectBatchMatchesSolo(net, data.firstImages(4), images);
 }
 
-TEST(BatchingChip, RunAnnBatchScalarBaselineMatchesSolo)
-{
-    // The fastEval == false fallback loops solo evaluateLayer per image
-    // and must stay equivalent too (it is the committed baseline the
-    // benchmarks compare the batched kernels against).
-    SyntheticDigits data(8, 12, /*seed=*/5);
-    Network net = buildMlp3(12, 1, 10, /*seed=*/7);
-    const QuantizationResult quant = quantizeNetwork(net, data.firstImages(4));
-    NebulaConfig config;
-    config.fastEval = false;
-    NebulaChip chip(config);
-    chip.programAnn(net, quant);
-    std::vector<Tensor> images;
-    for (int i = 0; i < 4; ++i)
-        images.push_back(data.image(i));
-    std::vector<Tensor> solo;
-    for (const Tensor &image : images)
-        solo.push_back(chip.runAnn(image));
-    const AnnBatchResult batch = chip.runAnnBatch(images);
-    ASSERT_EQ(batch.logits.size(), images.size());
-    for (size_t i = 0; i < images.size(); ++i)
-        EXPECT_TRUE(bitIdentical(batch.logits[i], solo[i]))
-            << "scalar-baseline batched logits diverged on image " << i;
-}
-
 // ---------------------------------------------------------------------
 // Runtime layer: the worker's gather window and flush semantics.
 // ---------------------------------------------------------------------

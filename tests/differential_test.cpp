@@ -54,21 +54,6 @@ TEST(Differential, IdealMatchesReferenceBitExact)
         });
 }
 
-TEST(Differential, ScalarBaselineMatchesReferenceBitExact)
-{
-    // The fastEval == false loops are the committed pre-optimization
-    // baseline the benchmarks compare against; keep them honest too.
-    runCases(
-        200, 2000, randomCase, [](const CaseConfig &config) {
-            BuiltCase built = buildCase(config, /*fast_eval=*/false);
-            const CrossbarEval got =
-                built.xbar->evaluateIdeal(built.inputs, kCycle);
-            const CrossbarEval want =
-                referenceIdeal(*built.xbar, built.inputs, kCycle);
-            return compareEval(got, want, 0.0);
-        });
-}
-
 TEST(Differential, SparseMatchesReferenceBitExact)
 {
     // Spike-driven path: active-row list against the densified naive
@@ -99,15 +84,40 @@ TEST(Differential, SparseMatchesReferenceBitExact)
         });
 }
 
+/** First field where two ABFT verdicts differ bit for bit, or "". */
+std::string
+checkMismatch(const CrossbarCheck &got, const CrossbarCheck &want)
+{
+    if (got.checks != want.checks)
+        return "checks";
+    if (got.violations != want.violations)
+        return "violations";
+    if (got.residual != want.residual)
+        return "residual";
+    if (got.tolerance != want.tolerance)
+        return "tolerance";
+    return "";
+}
+
 TEST(Differential, BatchMatchesSingleEvalBitExact)
 {
+    // Batches of 1-3 run only the leftover-window (solo kernel) path;
+    // 4-6 add one register-tiled group of four. Half the cases carry
+    // the ABFT checksum column, whose per-window verdicts must match a
+    // standalone evaluation too.
     runCases(
-        250, 4000, randomCase, [](const CaseConfig &config) {
+        250, 4000,
+        [](uint64_t seed) {
+            CaseConfig config = randomCase(seed);
+            config.abft = Rng(seed ^ 0xabf7ull).bernoulli(0.5);
+            return config;
+        },
+        [](const CaseConfig &config) {
             BuiltCase built = buildCase(config);
             Rng rng(config.seed ^ 0xba7c4ull);
             const int rows = built.xbar->rows();
             const int cols = built.xbar->cols();
-            const int batch = rng.uniformInt(2, 6);
+            const int batch = rng.uniformInt(1, 6);
             std::vector<double> windows(
                 static_cast<size_t>(batch) * rows);
             for (auto &v : windows)
@@ -117,6 +127,9 @@ TEST(Differential, BatchMatchesSingleEvalBitExact)
 
             const CrossbarBatchEval got =
                 built.xbar->evaluateIdealBatch(windows, batch, kCycle);
+            if (got.checks.size() !=
+                (config.abft ? static_cast<size_t>(batch) : 0))
+                return std::string("batch verdict count");
             CrossbarEval want_all;
             want_all.currents.reserve(static_cast<size_t>(batch) * cols);
             std::vector<double> window(static_cast<size_t>(rows));
@@ -130,6 +143,13 @@ TEST(Differential, BatchMatchesSingleEvalBitExact)
                                          one.currents.begin(),
                                          one.currents.end());
                 want_all.energy += one.energy;
+                if (config.abft) {
+                    const std::string field = checkMismatch(
+                        got.checks[static_cast<size_t>(b)], one.check);
+                    if (!field.empty())
+                        return "window " + std::to_string(b) +
+                               " ABFT verdict differs in " + field;
+                }
             }
             CrossbarEval got_flat;
             got_flat.currents = got.currents;
