@@ -121,21 +121,39 @@ alternatingBest(const std::function<double()> &a,
     return best;
 }
 
-/** @p items / seconds of the fastest of three calls of @p fn. */
+/**
+ * Items per second of the fastest of three timed repetitions, each
+ * calling @p fn (which handles @p items items per call) until the
+ * repetition has lasted at least @p min_seconds (0: one call).
+ */
 double
-bestOf3Rate(double items, const std::function<void()> &fn)
+bestOf3Rate(double items, const std::function<void()> &fn,
+            double min_seconds = 0.0)
 {
-    double seconds = std::numeric_limits<double>::infinity();
+    double best = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
         const auto start = std::chrono::steady_clock::now();
-        fn();
-        seconds = std::min(seconds,
-                           std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start)
-                               .count());
+        double seconds = 0.0;
+        int calls = 0;
+        do {
+            fn();
+            ++calls;
+            seconds = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+        } while (seconds < min_seconds);
+        best = std::max(best, calls * items / seconds);
     }
-    return items / seconds;
+    return best;
 }
+
+/**
+ * Shortest timed repetition of a serving study: the tiny sections last
+ * about a millisecond, short enough for one scheduler slice to move a
+ * gated ratio by a third, so each repetition repeats its submit loop
+ * for at least this long.
+ */
+constexpr double kMinServingRepSeconds = 0.02;
 
 /** One timed serving run; returns images/sec. */
 double
@@ -154,17 +172,19 @@ measureThroughput(int workers, int batches, double *mean_latency_ms,
     for (auto &f : engine.submitBatch({w.images[0], w.images[1]}))
         f.get();
 
-    // Best-of-3 repetitions: each timed section is only a few ms, so a
-    // single scheduler preemption on a small CI host can halve one
-    // measurement. The fastest repetition is the least-disturbed one;
+    // Best-of-3 repetitions of at least kMinServingRepSeconds each: a
+    // single scheduler preemption on a small CI host can still slow one
+    // repetition. The fastest repetition is the least-disturbed one;
     // ratios between studies stay meaningful because every study
     // rejects interference the same way.
     const double rate = bestOf3Rate(
-        static_cast<double>(batches) * w.images.size(), [&] {
+        static_cast<double>(batches) * w.images.size(),
+        [&] {
             for (int b = 0; b < batches; ++b)
                 for (auto &future : engine.submitBatch(w.images))
                     future.get();
-        });
+        },
+        kMinServingRepSeconds);
 
     if (mean_latency_ms || mean_batch_size) {
         const StatGroup stats = engine.runtimeStats();
@@ -290,10 +310,13 @@ measureServingRate(const ReplicaFactory &factory, int images,
     std::vector<Tensor> batch(w.images.begin(), w.images.begin() + images);
     // Best-of-3, for the same reason as measureThroughput: the fastest
     // repetition is the one the host scheduler disturbed least.
-    const double rate = bestOf3Rate(images, [&] {
-        for (auto &future : engine.submitBatch(batch))
-            future.get();
-    });
+    const double rate = bestOf3Rate(
+        images,
+        [&] {
+            for (auto &future : engine.submitBatch(batch))
+                future.get();
+        },
+        kMinServingRepSeconds);
     if (mean_batch_size) {
         const StatGroup stats = engine.runtimeStats();
         *mean_batch_size = stats.hasScalar("batch.size")

@@ -1,6 +1,8 @@
 /**
  * @file
- * Configuration for the concurrent inference engine.
+ * Configuration for the concurrent inference engine. The engine and
+ * each of its workers read the one EngineConfig the engine owns; there
+ * is no per-worker copy of these knobs.
  */
 
 #ifndef NEBULA_RUNTIME_CONFIG_HPP
@@ -76,9 +78,10 @@ enum class ShedPolicy : uint8_t
  * early when maxBatch requests are gathered or when waiting any longer
  * would push a held request past its deadline -- a request is never
  * batched past its deadline by construction. maxBatch <= 1 disables
- * batching entirely (the default: solo dequeue, identical to the
- * pre-batching engine). Only replicas that support batched evaluation
- * (ANN chip replicas) coalesce; other modes keep the solo path.
+ * batching entirely (the default: every popped request is served as a
+ * group of one). Only replicas that support batched evaluation (ANN
+ * chip replicas) coalesce; other modes are served one request at a
+ * time. Inline mode (numWorkers == 0) never gathers.
  */
 struct BatchingConfig
 {
@@ -98,9 +101,10 @@ struct EngineConfig
 {
     /**
      * Worker threads, each holding its own programmed chip replica.
-     * 0 selects the deterministic inline mode: requests execute
-     * synchronously on the submitting thread against a single replica,
-     * in exact submission order (the bit-exact reference mode).
+     * 0 selects the deterministic inline mode: one worker whose thread
+     * never starts serves each request synchronously on the submitting
+     * thread, in exact submission order, through the same code as the
+     * pool (the bit-exact reference mode).
      */
     int numWorkers = 2;
 

@@ -12,15 +12,6 @@
 
 namespace nebula {
 
-namespace {
-
-// Same shape as the worker-side histograms so merges stay bin-exact.
-constexpr double kLatencyLoMs = 0.0;
-constexpr double kLatencyHiMs = 250.0;
-constexpr int kLatencyBuckets = 500;
-
-} // namespace
-
 InferenceEngine::InferenceEngine(EngineConfig config,
                                  const ReplicaFactory &factory)
     : config_(std::move(config)), factory_(factory),
@@ -29,76 +20,48 @@ InferenceEngine::InferenceEngine(EngineConfig config,
     NEBULA_ASSERT(config_.numWorkers >= 0, "negative worker count");
     NEBULA_ASSERT(factory_, "null replica factory");
 
-    HealthMonitor *health = config_.health.get();
-    const bool health_on = health && health->config().enabled;
-
-    if (config_.numWorkers == 0) {
-        inlineReplica_ = factory_(0);
-        NEBULA_ASSERT(inlineReplica_, "factory returned null replica");
-        if (health_on) {
-            health->resizeSlots(1);
-            if (!health->hasExpected())
-                health->captureExpected(*inlineReplica_,
-                                        config_.defaultTimesteps);
+    auto on_complete = [this](double service) { noteCompleted(service); };
+    auto restart = [this](int id, std::unique_ptr<ChipReplica> old) {
+        {
+            // Bounded retention: a permanently bad worker re-trips the
+            // fault threshold forever, so keep only the newest
+            // quarantineCapacity replicas.
+            std::lock_guard<std::mutex> lock(quarantineMutex_);
+            quarantined_.push_back(std::move(old));
+            while (quarantined_.size() > config_.quarantineCapacity)
+                quarantined_.erase(quarantined_.begin());
         }
-        NEBULA_DEBUG("runtime", "engine up in inline mode");
-        return;
+        restarts_.fetch_add(1);
+        obs::MetricsRegistry::global().counter("runtime.worker_restart").inc();
+        obs::recordInstant("runtime", "worker.restart", config_.traceRequests);
+        return factory_(id);
+    };
+
+    // Inline mode is one worker whose thread never starts: submit()
+    // serves each request on the caller's thread through the same code.
+    const int count = std::max(1, config_.numWorkers);
+    workers_.reserve(static_cast<size_t>(count));
+    for (int i = 0; i < count; ++i) {
+        std::unique_ptr<ChipReplica> replica = factory_(i);
+        NEBULA_ASSERT(replica, "factory returned null replica");
+        workers_.push_back(std::make_unique<Worker>(
+            i, std::move(replica), &queue_, config_, on_complete, restart));
     }
 
-    std::vector<std::unique_ptr<ChipReplica>> replicas;
-    replicas.reserve(static_cast<size_t>(config_.numWorkers));
-    for (int i = 0; i < config_.numWorkers; ++i) {
-        replicas.push_back(factory_(i));
-        NEBULA_ASSERT(replicas.back(), "factory returned null replica");
-    }
-    if (health_on) {
-        health->resizeSlots(config_.numWorkers);
+    HealthMonitor *health = config_.health.get();
+    if (health && health->config().enabled) {
+        health->resizeSlots(count);
         // Capture the golden canary logits from replica 0 while it is
         // still pristine -- replicas are programmed identically, so one
         // expectation covers every slot.
         if (!health->hasExpected())
-            health->captureExpected(*replicas.front(),
+            health->captureExpected(*workers_.front()->replicaSlot(),
                                     config_.defaultTimesteps);
     }
 
-    WorkerHooks hooks;
-    hooks.onComplete = [this](double service) { noteCompleted(service); };
-    hooks.health = health_on ? health : nullptr;
-    hooks.maxConsecutiveFaults = config_.maxConsecutiveFaults;
-    hooks.traceRequests = config_.traceRequests;
-    hooks.maxBatch = config_.batching.maxBatch;
-    hooks.maxWaitUs = config_.batching.maxWaitUs;
-    hooks.abftReExecute = config_.abft.reExecute;
-    hooks.abftFallback = config_.abft.fallback;
-    if (config_.maxConsecutiveFaults > 0) {
-        hooks.superviseRestart =
-            [this](int id, std::unique_ptr<ChipReplica> old) {
-                {
-                    // Bounded retention: a permanently bad worker
-                    // re-trips the fault threshold forever, so keep
-                    // only the newest quarantineCapacity replicas.
-                    std::lock_guard<std::mutex> lock(quarantineMutex_);
-                    quarantined_.push_back(std::move(old));
-                    while (quarantined_.size() > config_.quarantineCapacity)
-                        quarantined_.erase(quarantined_.begin());
-                }
-                restarts_.fetch_add(1);
-                obs::MetricsRegistry::global()
-                    .counter("runtime.worker_restart")
-                    .inc();
-                obs::recordInstant("runtime", "worker.restart",
-                                   config_.traceRequests);
-                return factory_(id);
-            };
-    }
-
-    workers_.reserve(replicas.size());
-    for (int i = 0; i < config_.numWorkers; ++i)
-        workers_.push_back(std::make_unique<Worker>(
-            i, std::move(replicas[static_cast<size_t>(i)]), &queue_,
-            hooks));
-    for (auto &worker : workers_)
-        worker->start();
+    if (config_.numWorkers > 0)
+        for (auto &worker : workers_)
+            worker->start();
     NEBULA_DEBUG("runtime", "engine up with ", config_.numWorkers,
                  " workers, queue capacity ", config_.queueCapacity);
 }
@@ -108,16 +71,66 @@ InferenceEngine::~InferenceEngine()
     shutdown();
 }
 
-void
-InferenceEngine::finalizeRequest(InferenceRequest &request)
+QueueItem
+InferenceEngine::makeItem(InferenceRequest request)
 {
-    request.id = nextId_.fetch_add(1);
-    if (request.timesteps == 0)
-        request.timesteps = config_.defaultTimesteps;
-    if (request.seed == 0)
-        request.seed = seedFor(request.id);
-    if (request.deadlineNs == 0)
-        request.deadlineNs = config_.defaultDeadlineNs;
+    if (!accepting_.load())
+        throw EngineStoppedError("InferenceEngine is shut down");
+    QueueItem item;
+    item.request = std::move(request);
+    item.request.id = nextId_.fetch_add(1);
+    if (item.request.timesteps == 0)
+        item.request.timesteps = config_.defaultTimesteps;
+    if (item.request.seed == 0)
+        item.request.seed = seedFor(item.request.id);
+    if (item.request.deadlineNs == 0)
+        item.request.deadlineNs = config_.defaultDeadlineNs;
+    item.enqueued = std::chrono::steady_clock::now();
+    if (item.request.deadlineNs > 0) {
+        item.hasDeadline = true;
+        item.deadline = item.enqueued +
+                        std::chrono::nanoseconds(item.request.deadlineNs);
+    }
+    return item;
+}
+
+void
+InferenceEngine::refuse(QueueItem &item, RuntimeErrorKind kind,
+                        const char *why)
+{
+    if (kind == RuntimeErrorKind::Shed) {
+        shed_.fetch_add(1);
+        obs::MetricsRegistry::global().counter("runtime.shed").inc();
+        obs::recordInstant("runtime", "request.shed", config_.traceRequests);
+    }
+    InferenceResult result;
+    result.id = item.request.id;
+    result.error = kind;
+    result.errorMessage = why;
+    item.promise.set_value(std::move(result));
+}
+
+bool
+InferenceEngine::accept(QueueItem &item, bool block)
+{
+    // Count *before* the push so the quiesce invariant holds: any item
+    // a worker can possibly be evaluating is already reflected in
+    // submitted_, and waitIdle (completed_ >= submitted_) cannot return
+    // while that worker still touches its replica or stats. A refusal
+    // rolls the increment back -- refused requests were never
+    // accepted, so they stay uncounted.
+    submitted_.fetch_add(1);
+    if (config_.numWorkers == 0) {
+        workers_.front()->serve({&item, 1});
+        return true;
+    }
+    if (block ? queue_.push(std::move(item)) : queue_.tryPush(item)) {
+        obs::recordCounter("queue.depth", static_cast<double>(queue_.size()),
+                           config_.traceRequests);
+        return true;
+    }
+    rollbackSubmitted();
+    return false;
 }
 
 std::future<InferenceResult>
@@ -126,21 +139,6 @@ InferenceEngine::submit(const Tensor &image)
     InferenceRequest request;
     request.image = image;
     return submit(std::move(request));
-}
-
-std::future<InferenceResult>
-InferenceEngine::shedRequest(InferenceRequest request, const char *why)
-{
-    shed_.fetch_add(1);
-    obs::MetricsRegistry::global().counter("runtime.shed").inc();
-    obs::recordInstant("runtime", "request.shed", config_.traceRequests);
-    InferenceResult result;
-    result.id = request.id;
-    result.error = RuntimeErrorKind::Shed;
-    result.errorMessage = why;
-    std::promise<InferenceResult> promise;
-    promise.set_value(std::move(result));
-    return promise.get_future();
 }
 
 bool
@@ -158,72 +156,33 @@ InferenceEngine::predictsDeadlineMiss(const InferenceRequest &request) const
 std::future<InferenceResult>
 InferenceEngine::submit(InferenceRequest request)
 {
-    if (!accepting_.load())
-        throw EngineStoppedError("InferenceEngine is shut down");
-    finalizeRequest(request);
-
-    if (inlineReplica_)
-        return runInline(std::move(request));
-
-    // Admission control. Shed requests resolve immediately and are
-    // never counted in submitted_/completed_ -- they were refused, not
-    // accepted-then-failed.
-    if (config_.shedPolicy == ShedPolicy::DeadlineAware &&
-        request.deadlineNs > 0 && predictsDeadlineMiss(request))
-        return shedRequest(std::move(request),
-                           "predicted queue wait exceeds deadline");
-
-    QueueItem item;
-    item.request = std::move(request);
-    item.enqueued = std::chrono::steady_clock::now();
-    if (item.request.deadlineNs > 0) {
-        item.hasDeadline = true;
-        item.deadline = item.enqueued +
-                        std::chrono::nanoseconds(item.request.deadlineNs);
-    }
+    QueueItem item = makeItem(std::move(request));
     std::future<InferenceResult> future = item.promise.get_future();
 
-    // Count *before* the push so the quiesce invariant holds: any item
-    // a worker can possibly be evaluating is already reflected in
-    // submitted_, and waitIdle (completed_ >= submitted_) cannot return
-    // while that worker still touches its replica or stats. Refusal
-    // paths below (shed / closed) roll the increment back -- refused
-    // requests were never accepted, so they stay uncounted.
-    submitted_.fetch_add(1);
-    if (config_.shedPolicy == ShedPolicy::RejectWhenFull) {
-        if (!queue_.tryPush(item)) {
-            rollbackSubmitted();
-            if (queue_.closed()) {
-                InferenceResult result;
-                result.id = item.request.id;
-                result.error = RuntimeErrorKind::EngineStopped;
-                result.errorMessage = "engine shut down during admission";
-                item.promise.set_value(std::move(result));
-                return future;
-            }
-            shed_.fetch_add(1);
-            obs::MetricsRegistry::global().counter("runtime.shed").inc();
-            obs::recordInstant("runtime", "request.shed",
-                               config_.traceRequests);
-            InferenceResult result;
-            result.id = item.request.id;
-            result.error = RuntimeErrorKind::Shed;
-            result.errorMessage = "queue full";
-            item.promise.set_value(std::move(result));
-            return future;
-        }
-    } else if (!queue_.push(std::move(item))) {
-        // Closed while we were blocked on a full queue: the item came
-        // back untouched only conceptually (push consumed it), but its
-        // promise was moved with it -- so we cannot fulfil it here.
-        // push() only fails after close(), which shutdown() performs
-        // strictly after accepting_ went false, so report typed stop.
-        rollbackSubmitted();
-        throw EngineStoppedError("InferenceEngine shut down during submit");
+    // Admission control. Shed requests resolve immediately and are
+    // never counted in submitted_/completed_. Inline mode queues
+    // nothing, so it has no wait to predict.
+    if (config_.shedPolicy == ShedPolicy::DeadlineAware &&
+        config_.numWorkers > 0 && item.request.deadlineNs > 0 &&
+        predictsDeadlineMiss(item.request)) {
+        refuse(item, RuntimeErrorKind::Shed,
+               "predicted queue wait exceeds deadline");
+        return future;
     }
 
-    obs::recordCounter("queue.depth", static_cast<double>(queue_.size()),
-                       config_.traceRequests);
+    const bool block = config_.shedPolicy != ShedPolicy::RejectWhenFull;
+    if (accept(item, block))
+        return future;
+    // A blocking push only fails after close(), which shutdown()
+    // performs strictly after accepting_ went false; the push consumed
+    // the item's promise, so report the typed stop by exception.
+    if (block)
+        throw EngineStoppedError("InferenceEngine shut down during submit");
+    if (queue_.closed())
+        refuse(item, RuntimeErrorKind::EngineStopped,
+               "engine shut down during admission");
+    else
+        refuse(item, RuntimeErrorKind::Shed, "queue full");
     return future;
 }
 
@@ -231,37 +190,14 @@ bool
 InferenceEngine::trySubmit(const Tensor &image,
                            std::future<InferenceResult> &out)
 {
-    if (!accepting_.load())
-        throw EngineStoppedError("InferenceEngine is shut down");
-
     InferenceRequest request;
     request.image = image;
-    finalizeRequest(request);
-    if (inlineReplica_) {
-        out = runInline(std::move(request));
-        return true;
-    }
-
-    QueueItem item;
-    item.request = std::move(request);
-    item.enqueued = std::chrono::steady_clock::now();
-    if (item.request.deadlineNs > 0) {
-        item.hasDeadline = true;
-        item.deadline = item.enqueued +
-                        std::chrono::nanoseconds(item.request.deadlineNs);
-    }
-    std::future<InferenceResult> future = item.promise.get_future();
-
     // A refused trySubmit burns the id it drew: rolling the *id*
-    // counter back would race with concurrent producers. submitted_ is
-    // different -- it is bumped before the enqueue (quiesce invariant,
-    // see submit) and rolled back on refusal, which is safe because a
-    // transiently inflated submitted_ only makes waitIdle conservative.
-    submitted_.fetch_add(1);
-    if (!queue_.tryPush(item)) {
-        rollbackSubmitted();
+    // counter back would race with concurrent producers.
+    QueueItem item = makeItem(std::move(request));
+    std::future<InferenceResult> future = item.promise.get_future();
+    if (!accept(item, /*block=*/false))
         return false;
-    }
     out = std::move(future);
     return true;
 }
@@ -274,166 +210,6 @@ InferenceEngine::submitBatch(const std::vector<Tensor> &images)
     for (const Tensor &image : images)
         futures.push_back(submit(image));
     return futures;
-}
-
-std::future<InferenceResult>
-InferenceEngine::runInline(InferenceRequest request)
-{
-    submitted_.fetch_add(1);
-    std::promise<InferenceResult> promise;
-    std::future<InferenceResult> future = promise.get_future();
-    const auto start = std::chrono::steady_clock::now();
-    obs::TraceSpan span("runtime", "request", config_.traceRequests,
-                        /*sampled_root=*/true);
-    span.arg("id", static_cast<double>(request.id));
-    obs::recordFlowStep("runtime", "request.flow", request.traceId,
-                        config_.traceRequests);
-
-    if (request.cancel && request.cancel->load(std::memory_order_acquire)) {
-        inlineStats_.scalar("cancelled").inc();
-        obs::MetricsRegistry::global().counter("runtime.cancelled").inc();
-        InferenceResult result;
-        result.id = request.id;
-        result.error = RuntimeErrorKind::Cancelled;
-        result.errorMessage = "request cancelled before evaluation";
-        promise.set_value(std::move(result));
-        noteCompleted(-1.0);
-        return future;
-    }
-
-    double service = -1.0;
-    bool violated = false;
-    try {
-        InferenceResult result = inlineReplica_->run(request);
-        // Inline-mode mirror of the worker's hedged re-execution: a
-        // flagged result is re-run once on the lazily built fallback
-        // before the promise settles (see Worker::handleViolation).
-        if (result.integrity.violations > 0 && result.ok()) {
-            violated = true;
-            inlineStats_.scalar("abft.violations").inc();
-            obs::MetricsRegistry::global()
-                .counter("abft.request_violations")
-                .inc();
-            obs::recordInstant("runtime", "abft.violation",
-                               config_.traceRequests);
-            if (config_.abft.reExecute && config_.abft.fallback) {
-                if (!inlineAbftFallback_)
-                    inlineAbftFallback_ = config_.abft.fallback(0);
-                if (inlineAbftFallback_) {
-                    try {
-                        InferenceResult redo =
-                            inlineAbftFallback_->run(request);
-                        // Keep the original's detection verdict (see
-                        // Worker::handleViolation).
-                        redo.integrity.checks += result.integrity.checks;
-                        redo.integrity.violations +=
-                            result.integrity.violations;
-                        redo.integrity.reExecuted = true;
-                        result = std::move(redo);
-                        inlineStats_.scalar("abft.reexecutions").inc();
-                        obs::MetricsRegistry::global()
-                            .counter("abft.reexecutions")
-                            .inc();
-                        obs::recordInstant("runtime", "abft.reexecute",
-                                           config_.traceRequests);
-                    } catch (...) {
-                        // Keep the flagged original; a faulting
-                        // fallback must not unseat a typed answer.
-                        obs::MetricsRegistry::global()
-                            .counter("abft.reexec_fault")
-                            .inc();
-                    }
-                }
-            }
-        }
-        const auto end = std::chrono::steady_clock::now();
-        result.id = request.id;
-        result.workerId = -1;
-        result.serviceSeconds =
-            std::chrono::duration<double>(end - start).count();
-        span.arg("service_ms", 1e3 * result.serviceSeconds);
-        inlineStats_.scalar("requests").inc();
-        inlineStats_.scalar("latency_ms").sample(1e3 *
-                                                 result.serviceSeconds);
-        inlineStats_.scalar("service_ms").sample(1e3 *
-                                                 result.serviceSeconds);
-        inlineStats_.scalar("wait_ms").sample(0.0);
-        inlineStats_
-            .histogram("latency_ms.hist", kLatencyLoMs, kLatencyHiMs,
-                       kLatencyBuckets)
-            .sample(1e3 * result.serviceSeconds);
-        inlineStats_
-            .histogram("service_ms.hist", kLatencyLoMs, kLatencyHiMs,
-                       kLatencyBuckets)
-            .sample(1e3 * result.serviceSeconds);
-        inlineStats_
-            .histogram("wait_ms.hist", kLatencyLoMs, kLatencyHiMs,
-                       kLatencyBuckets)
-            .sample(0.0);
-        inlineStats_.scalar("spikes").add(
-            static_cast<double>(result.spikes));
-        service = result.serviceSeconds;
-        promise.set_value(std::move(result));
-    } catch (const std::exception &e) {
-        inlineStats_.scalar("failures").inc();
-        obs::MetricsRegistry::global().counter("runtime.replica_fault").inc();
-        obs::recordInstant("runtime", "request.failed",
-                           config_.traceRequests);
-        InferenceResult result;
-        result.id = request.id;
-        result.workerId = -1;
-        result.error = RuntimeErrorKind::ReplicaFault;
-        result.errorMessage = e.what();
-        promise.set_value(std::move(result));
-    } catch (...) {
-        inlineStats_.scalar("failures").inc();
-        obs::MetricsRegistry::global().counter("runtime.replica_fault").inc();
-        obs::recordInstant("runtime", "request.failed",
-                           config_.traceRequests);
-        InferenceResult result;
-        result.id = request.id;
-        result.workerId = -1;
-        result.error = RuntimeErrorKind::ReplicaFault;
-        result.errorMessage = "replica threw a non-std exception";
-        promise.set_value(std::move(result));
-    }
-
-    // A violation escalates the health probe immediately (promise
-    // already settled), mirroring the worker path: no waiting for the
-    // probeEvery cadence once detection has flagged the replica.
-    if (violated && config_.health && config_.health->config().enabled) {
-        try {
-            config_.health->probeNow(0, inlineReplica_);
-        } catch (...) {
-            inlineStats_.scalar("probe_failures").inc();
-            obs::MetricsRegistry::global()
-                .counter("health.probe_fault")
-                .inc();
-            obs::recordInstant("runtime", "health.probe_fault",
-                               config_.traceRequests);
-        }
-    }
-
-    // Probe after a successful request, with the promise already
-    // settled and outside the try/catch above: a throwing probe is
-    // absorbed and counted here -- re-entering the catch would call
-    // set_value on a satisfied promise and throw std::future_error at
-    // the submitter instead of returning the typed-result future.
-    if (service >= 0.0 && config_.health &&
-        config_.health->config().enabled) {
-        try {
-            config_.health->afterRequest(0, inlineReplica_);
-        } catch (...) {
-            inlineStats_.scalar("probe_failures").inc();
-            obs::MetricsRegistry::global()
-                .counter("health.probe_fault")
-                .inc();
-            obs::recordInstant("runtime", "health.probe_fault",
-                               config_.traceRequests);
-        }
-    }
-    noteCompleted(service);
-    return future;
 }
 
 void
@@ -506,11 +282,8 @@ InferenceEngine::shutdownNow()
     auto pending = queue_.drain();
     queue_.close();
     for (QueueItem &item : pending) {
-        InferenceResult result;
-        result.id = item.request.id;
-        result.error = RuntimeErrorKind::EngineStopped;
-        result.errorMessage = "request discarded: engine shut down";
-        item.promise.set_value(std::move(result));
+        refuse(item, RuntimeErrorKind::EngineStopped,
+               "request discarded: engine shut down");
         noteCompleted(-1.0);
     }
     waitIdle();
@@ -530,8 +303,6 @@ InferenceEngine::chipStats()
 {
     waitIdle();
     ChipStats total;
-    if (inlineReplica_ && inlineReplica_->chipStats())
-        total.merge(*inlineReplica_->chipStats());
     for (const auto &worker : workers_)
         if (const ChipStats *stats = worker->replica().chipStats())
             total.merge(*stats);
@@ -547,8 +318,6 @@ InferenceEngine::withReplicas(const std::function<void(ChipReplica &)> &fn)
     // thread a happens-before edge over each worker's last replica use.
     // The caller must not submit concurrently with this call.
     waitIdle();
-    if (inlineReplica_)
-        fn(*inlineReplica_);
     for (auto &worker : workers_)
         fn(*worker->replicaSlot());
 }
@@ -565,8 +334,6 @@ InferenceEngine::runtimeStats()
 {
     waitIdle();
     StatGroup group("runtime");
-    if (inlineReplica_)
-        group.merge(inlineStats_);
     for (const auto &worker : workers_) {
         group.merge(worker->stats());
         if (worker->stats().hasScalar("requests"))

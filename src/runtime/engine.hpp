@@ -13,18 +13,21 @@
  * (derived from the request id), and replicas are programmed from the
  * same prototype with the same chip seed, so each request's output is
  * bit-identical no matter how many workers serve the pool or in which
- * order requests complete. numWorkers == 0 selects an inline mode that
- * executes synchronously on the submitting thread -- the reference
- * against which the threaded modes are tested.
+ * order requests complete. numWorkers == 0 selects an inline mode: one
+ * Worker whose thread never starts, driven by submit() on the caller's
+ * thread -- the same request path as the pool, single-threaded, and
+ * the reference against which the threaded modes are tested.
  *
  * Resilience: every returned future resolves to a typed terminal
  * outcome (InferenceResult::error) -- ok, Timeout, Shed, EngineStopped,
  * ReplicaFault or Cancelled -- never a broken promise. Admission
  * control (EngineConfig::shedPolicy) can shed instead of blocking under
- * overload; per-request deadlines are enforced at dequeue; a worker
- * whose replica faults repeatedly is restarted with a fresh replica by
- * the supervisor; an attached HealthMonitor closes the loop on silent
- * crossbar drift (probe / repair / demote).
+ * overload; per-request deadlines are enforced when a worker takes the
+ * request up; a worker whose replica faults repeatedly is restarted
+ * with a fresh replica by the supervisor; an attached HealthMonitor
+ * closes the loop on silent crossbar drift (probe / repair / demote).
+ * Inline mode runs the same worker code, so all of this but admission
+ * control (nothing queues) holds there too.
  *
  * Statistics: workers accumulate latency/throughput counters and chip
  * stats replica-locally (no locks on the hot path); chipStats() /
@@ -58,8 +61,8 @@ class InferenceEngine
 {
   public:
     /**
-     * Build the pool: @p factory is invoked once per worker (or once
-     * total in inline mode) and must produce identically-programmed
+     * Build the pool: @p factory is invoked once per worker (once for
+     * the inline worker) and must produce identically-programmed
      * replicas for the determinism guarantee to hold. The engine keeps
      * a copy of @p factory for supervisor restarts.
      */
@@ -133,11 +136,11 @@ class InferenceEngine
     StatGroup runtimeStats();
 
     /**
-     * Quiesce the pool and apply @p fn to every serving replica (inline
-     * or per-worker). This is the administration hatch the resilience
-     * tests and the chaos mode use to mutate live replicas -- e.g.
-     * re-programming them under a retention-decay ramp to emulate aged
-     * crossbars -- without tearing the engine down.
+     * Quiesce the pool and apply @p fn to every worker's serving
+     * replica (the inline worker's too). This is the administration
+     * hatch the resilience tests and the chaos mode use to mutate live
+     * replicas -- e.g. re-programming them under a retention-decay ramp
+     * to emulate aged crossbars -- without tearing the engine down.
      */
     void withReplicas(const std::function<void(ChipReplica &)> &fn);
 
@@ -169,7 +172,8 @@ class InferenceEngine
     }
 
     size_t queueDepth() const { return queue_.size(); }
-    int numWorkers() const { return static_cast<int>(workers_.size()); }
+    /** Worker threads serving the queue (0: inline mode). */
+    int numWorkers() const { return config_.numWorkers; }
     const EngineConfig &config() const { return config_; }
 
     /** Requests refused at admission (typed Shed outcomes). */
@@ -195,17 +199,29 @@ class InferenceEngine
     }
 
   private:
-    /** Assign id/seed/timesteps/deadline defaults to a request. */
-    void finalizeRequest(InferenceRequest &request);
+    /**
+     * Build the queue item for a new request: assign its id and the
+     * seed/timesteps/deadline defaults, stamp the enqueue time and the
+     * absolute deadline. Throws EngineStoppedError once shutdown began.
+     */
+    QueueItem makeItem(InferenceRequest request);
 
-    /** Execute a request synchronously on the inline replica. */
-    std::future<InferenceResult> runInline(InferenceRequest request);
+    /**
+     * Hand @p item to the pool -- blocking for queue room when @p block
+     * -- or, in inline mode, serve it now on this thread. Returns false
+     * when the queue refused it (full or closed); submitted_ is then
+     * rolled back and, unless a blocking push consumed it, @p item is
+     * untouched.
+     */
+    bool accept(QueueItem &item, bool block);
 
-    /** Resolve a future immediately with a typed Shed outcome. */
-    std::future<InferenceResult> shedRequest(InferenceRequest request,
-                                             const char *why);
+    /**
+     * Settle @p item, never evaluated, with typed outcome @p kind (Shed
+     * outcomes are also counted in shedCount() and `runtime.shed`).
+     */
+    void refuse(QueueItem &item, RuntimeErrorKind kind, const char *why);
 
-    /** Completion callback shared by workers and inline mode. */
+    /** Completion callback of every worker, inline included. */
     void noteCompleted(double service_seconds);
 
     /**
@@ -225,12 +241,8 @@ class InferenceEngine
     EngineConfig config_;
     ReplicaFactory factory_; //!< kept for supervisor restarts
     BoundedQueue<QueueItem> queue_;
+    /** The pool; inline mode holds one worker whose thread never runs. */
     std::vector<std::unique_ptr<Worker>> workers_;
-    std::unique_ptr<ChipReplica> inlineReplica_; //!< numWorkers == 0
-    StatGroup inlineStats_{"inline"};
-
-    /** Lazily built ABFT re-execution fallback for inline mode. */
-    std::unique_ptr<ChipReplica> inlineAbftFallback_;
 
     std::atomic<uint64_t> nextId_{0};
     std::atomic<uint64_t> submitted_{0};

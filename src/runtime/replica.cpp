@@ -1,6 +1,7 @@
 #include "runtime/replica.hpp"
 
 #include <memory>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "snn/snn_sim.hpp"
@@ -22,15 +23,7 @@ AnnChipReplica::AnnChipReplica(const Network &prototype,
 InferenceResult
 AnnChipReplica::run(const InferenceRequest &request)
 {
-    const ChipStats before = chip_.stats();
-    InferenceResult result;
-    result.logits = chip_.runAnn(request.image);
-    result.predictedClass = result.logits.argmaxRow(0);
-    result.energy = estimateEnergyBreakdown(before, chip_.stats(), Mode::ANN);
-    result.integrity.checks = chip_.stats().abftChecks - before.abftChecks;
-    result.integrity.violations =
-        chip_.stats().abftViolations - before.abftViolations;
-    return result;
+    return std::move(runBatch({&request}).front());
 }
 
 std::vector<InferenceResult>

@@ -37,7 +37,8 @@ class ChipReplica
     /**
      * True when runBatch() coalesces requests into one shared chip
      * walk. The worker's batch gatherer only holds requests for
-     * replicas that benefit; everything else keeps the solo path.
+     * replicas that benefit; everything else is served one request at
+     * a time (as a runBatch call of one).
      */
     virtual bool supportsBatch() const { return false; }
 
@@ -45,9 +46,11 @@ class ChipReplica
      * Execute a micro-batch of requests. Per-request results must be
      * bit-identical (logits, prediction) to calling run() on the same
      * requests in order from the same chip state; per-request energy
-     * attribution must be preserved. The default just loops run() so
-     * every replica is batch-callable; chip-backed ANN replicas
-     * override with the genuinely batched GEMM-style evaluation.
+     * attribution must be preserved. The worker evaluates every
+     * request through this call, a group of one included. The default
+     * just loops run(); chip-backed ANN replicas override with the
+     * genuinely batched GEMM-style evaluation (and their run() is a
+     * batch of one).
      */
     virtual std::vector<InferenceResult>
     runBatch(const std::vector<const InferenceRequest *> &requests)

@@ -43,12 +43,32 @@ sameShape(const Tensor &a, const Tensor &b)
     return true;
 }
 
+/** Message of the exception being handled (call only inside a catch). */
+std::string
+currentExceptionMessage()
+{
+    try {
+        throw;
+    } catch (const std::exception &e) {
+        return e.what();
+    } catch (...) {
+        return "replica threw a non-std exception";
+    }
+}
+
 } // namespace
 
 Worker::Worker(int id, std::unique_ptr<ChipReplica> replica,
-               BoundedQueue<QueueItem> *queue, WorkerHooks hooks)
-    : id_(id), replica_(std::move(replica)), queue_(queue),
-      hooks_(std::move(hooks)), stats_("worker" + std::to_string(id)),
+               BoundedQueue<QueueItem> *queue, const EngineConfig &config,
+               CompletionFn onComplete, RestartFn superviseRestart)
+    : id_(id), resultWorkerId_(config.numWorkers > 0 ? id : -1),
+      replica_(std::move(replica)), queue_(queue), config_(config),
+      health_(config.health && config.health->config().enabled
+                  ? config.health.get()
+                  : nullptr),
+      onComplete_(std::move(onComplete)),
+      superviseRestart_(std::move(superviseRestart)),
+      stats_("worker" + std::to_string(id)),
       requestsStat_(stats_.scalar("requests")),
       latencyStat_(stats_.scalar("latency_ms")),
       serviceStat_(stats_.scalar("service_ms")),
@@ -77,15 +97,31 @@ Worker::join()
 }
 
 void
-Worker::shedItem(QueueItem &item, RuntimeErrorKind kind,
-                 std::string message, double wait_seconds)
+Worker::shed(QueueItem &item, RuntimeErrorKind kind,
+             const std::string &message, double wait_seconds)
 {
+    const char *stat = "failures";
+    const char *metric = "runtime.replica_fault";
+    const char *instant = "request.failed";
+    if (kind == RuntimeErrorKind::Cancelled) {
+        stat = "cancelled";
+        metric = "runtime.cancelled";
+        instant = "request.cancelled";
+    } else if (kind == RuntimeErrorKind::Timeout) {
+        stat = "timeouts";
+        metric = "runtime.timeout";
+        instant = "request.timeout";
+    }
+    stats_.scalar(stat).inc();
+    obs::MetricsRegistry::global().counter(metric).inc();
+    obs::recordInstant("runtime", instant, config_.traceRequests);
+
     InferenceResult result;
     result.id = item.request.id;
-    result.workerId = id_;
+    result.workerId = resultWorkerId_;
     result.queueSeconds = wait_seconds;
     result.error = kind;
-    result.errorMessage = std::move(message);
+    result.errorMessage = message;
     item.promise.set_value(std::move(result));
 }
 
@@ -94,13 +130,14 @@ Worker::loop()
 {
     obs::setThreadName("worker" + std::to_string(id_));
     NEBULA_DEBUG("runtime", "worker", id_, " started");
+    const int max_batch = config_.batching.maxBatch;
     while (auto item = queue_->pop()) {
         // The batch gather only engages when the engine asks for it AND
         // the current replica coalesces requests into one chip walk;
         // checked per dequeue because the supervisor / health monitor
         // may swap the replica for a non-batching fallback at any time.
-        if (hooks_.maxBatch <= 1 || !replica_->supportsBatch()) {
-            processItem(*item);
+        if (max_batch <= 1 || !replica_->supportsBatch()) {
+            serve({&*item, 1});
             continue;
         }
 
@@ -123,15 +160,15 @@ Worker::loop()
                        std::chrono::steady_clock::duration>(
                        std::chrono::duration<double>(slack));
         };
-        auto window_end =
-            gather_start + std::chrono::microseconds(hooks_.maxWaitUs);
+        auto window_end = gather_start + std::chrono::microseconds(
+                                             config_.batching.maxWaitUs);
         if (item->hasDeadline)
             window_end = std::min(window_end, deadline_cap(item->deadline));
 
         std::vector<QueueItem> batch;
-        batch.reserve(static_cast<size_t>(hooks_.maxBatch));
+        batch.reserve(static_cast<size_t>(max_batch));
         batch.push_back(std::move(*item));
-        while (static_cast<int>(batch.size()) < hooks_.maxBatch) {
+        while (static_cast<int>(batch.size()) < max_batch) {
             QueueItem next;
             if (queue_->tryPop(next)) {
                 if (next.hasDeadline)
@@ -149,384 +186,208 @@ Worker::loop()
                     std::min(window_end, deadline_cap(next.deadline));
             batch.push_back(std::move(next));
         }
-
-        if (batch.size() == 1)
-            processItem(batch.front());
-        else
-            processBatch(batch);
+        serve(batch);
     }
     NEBULA_DEBUG("runtime", "worker", id_, " draining done, exiting");
 }
 
 void
-Worker::processItem(QueueItem &item)
+Worker::serve(std::span<QueueItem> items)
 {
-    const auto start = std::chrono::steady_clock::now();
-    const double wait = secondsSince(item.enqueued, start);
-
-    // Non-evaluated terminal outcomes, checked at dequeue: a
-    // cancelled or expired request is shed without touching the
+    // Non-evaluated terminal outcomes, checked when the items are taken
+    // up: a cancelled or expired request is shed without touching the
     // replica -- under overload this is what keeps the tail of the
-    // queue from wasting chip time on answers nobody can use.
-    if (item.request.cancel &&
-        item.request.cancel->load(std::memory_order_acquire)) {
-        stats_.scalar("cancelled").inc();
-        obs::MetricsRegistry::global().counter("runtime.cancelled").inc();
-        obs::recordInstant("runtime", "request.cancelled",
-                           hooks_.traceRequests);
-        shedItem(item, RuntimeErrorKind::Cancelled,
-                 "request cancelled before evaluation", wait);
-        hooks_.onComplete(-1.0);
-        return;
-    }
-    if (item.hasDeadline && start > item.deadline) {
-        stats_.scalar("timeouts").inc();
-        obs::MetricsRegistry::global().counter("runtime.timeout").inc();
-        obs::recordInstant("runtime", "request.timeout",
-                           hooks_.traceRequests);
-        shedItem(item, RuntimeErrorKind::Timeout,
-                 "deadline expired in queue", wait);
-        hooks_.onComplete(-1.0);
-        return;
-    }
-
-    // The request span is a sampling root: TraceConfig::sampleEvery
-    // applies to it and suppresses the chip/noc spans nested inside
-    // replica_->run() when this request is sampled out. Queue wait
-    // is attached as an arg (not a span) so per-thread timestamps
-    // stay monotonic.
-    obs::TraceSpan span("runtime", "request", hooks_.traceRequests,
-                        /*sampled_root=*/true);
-    span.arg("id", static_cast<double>(item.request.id));
-    span.arg("wait_ms", 1e3 * wait);
-    // Distributed-trace hop: a request carrying wire trace context
-    // links its worker evaluation into the client/server flow.
-    obs::recordFlowStep("runtime", "request.flow", item.request.traceId,
-                        hooks_.traceRequests);
-    // Sampling the queue depth takes the queue mutex: only pay for it
-    // when a trace session is actually recording.
-    if (hooks_.traceRequests)
-        obs::recordCounter("queue.depth",
-                           static_cast<double>(queue_->size()),
-                           hooks_.traceRequests);
-    double service = -1.0;
-    bool violated = false;
-    try {
-        InferenceResult result = replica_->run(item.request);
-        // ABFT verdict check before any bookkeeping fields are filled:
-        // a hedged re-run replaces the whole result, and the service
-        // time measured below then covers original + re-run honestly.
-        if (result.integrity.violations > 0 && result.ok()) {
-            violated = true;
-            handleViolation(item, result);
-        }
-        const auto end = std::chrono::steady_clock::now();
-        result.id = item.request.id;
-        result.workerId = id_;
-        result.queueSeconds = wait;
-        result.serviceSeconds = secondsSince(start, end);
-        service = result.serviceSeconds;
-        span.arg("service_ms", 1e3 * result.serviceSeconds);
-
-        requestsStat_.inc();
-        latencyStat_.sample(1e3 * (wait + result.serviceSeconds));
-        serviceStat_.sample(1e3 * result.serviceSeconds);
-        waitStat_.sample(1e3 * wait);
-        latencyHist_.sample(1e3 * (wait + result.serviceSeconds));
-        serviceHist_.sample(1e3 * result.serviceSeconds);
-        waitHist_.sample(1e3 * wait);
-        spikesStat_.add(static_cast<double>(result.spikes));
-
-        item.promise.set_value(std::move(result));
-        flushEwmaSec_ = flushEwmaSec_ <= 0.0
-                            ? service
-                            : flushEwmaSec_ + 0.2 * (service - flushEwmaSec_);
-        consecutiveFaults_ = 0;
-    } catch (const std::exception &e) {
-        stats_.scalar("failures").inc();
-        obs::MetricsRegistry::global()
-            .counter("runtime.replica_fault")
-            .inc();
-        obs::recordInstant("runtime", "request.failed",
-                           hooks_.traceRequests);
-        shedItem(item, RuntimeErrorKind::ReplicaFault, e.what(), wait);
-        ++consecutiveFaults_;
-    } catch (...) {
-        stats_.scalar("failures").inc();
-        obs::MetricsRegistry::global()
-            .counter("runtime.replica_fault")
-            .inc();
-        obs::recordInstant("runtime", "request.failed",
-                           hooks_.traceRequests);
-        shedItem(item, RuntimeErrorKind::ReplicaFault,
-                 "replica threw a non-std exception", wait);
-        ++consecutiveFaults_;
-    }
-
-    // An ABFT violation escalates the health ladder immediately --
-    // detection already proved this replica computes wrong sums, so
-    // waiting for the probeEvery cadence would keep serving corrupt
-    // results in the meantime. Runs after the promise is settled for
-    // the same reason as the periodic probe below.
-    if (violated)
-        escalateHealthProbe();
-
-    // Probe between requests, after the caller has its answer: the
-    // canary cost lands on the worker, not on any request's
-    // latency. May repair or swap replica_ (demotion). The probe
-    // runs only after a successful evaluation (service >= 0) and
-    // OUTSIDE the request's try block: the promise above is already
-    // satisfied, so a throwing probe must be absorbed here -- it is
-    // accounted as a fault (feeding the supervisor) and must never
-    // reach shedItem, which would set the promise a second time.
-    if (service >= 0.0 && hooks_.health) {
-        try {
-            hooks_.health->afterRequest(id_, replica_);
-        } catch (...) {
-            stats_.scalar("probe_failures").inc();
-            obs::MetricsRegistry::global()
-                .counter("health.probe_fault")
-                .inc();
-            obs::recordInstant("runtime", "health.probe_fault",
-                               hooks_.traceRequests);
-            ++consecutiveFaults_;
-        }
-    }
-
-    maybeRestartReplica();
-
-    hooks_.onComplete(service);
-}
-
-void
-Worker::processBatch(std::vector<QueueItem> &items)
-{
-    const auto flush = std::chrono::steady_clock::now();
-
-    // Typed non-evaluated outcomes, re-checked at flush time: the
-    // gather window never outlives a held deadline, but a deadline can
-    // expire exactly at the boundary and cancellation can land during
-    // the gather. Every shed item still reaches its typed outcome.
-    std::vector<QueueItem *> live;
-    live.reserve(items.size());
+    // queue from wasting chip time on answers nobody can use. (A gather
+    // window never outlives a held deadline, but a deadline can expire
+    // right at its boundary and a cancel can land during it.)
+    const auto taken = std::chrono::steady_clock::now();
+    live_.clear();
     for (QueueItem &item : items) {
-        const double wait = secondsSince(item.enqueued, flush);
+        const double wait = secondsSince(item.enqueued, taken);
         if (item.request.cancel &&
             item.request.cancel->load(std::memory_order_acquire)) {
-            stats_.scalar("cancelled").inc();
-            obs::MetricsRegistry::global()
-                .counter("runtime.cancelled")
-                .inc();
-            obs::recordInstant("runtime", "request.cancelled",
-                               hooks_.traceRequests);
-            shedItem(item, RuntimeErrorKind::Cancelled,
-                     "request cancelled before evaluation", wait);
-            hooks_.onComplete(-1.0);
-            continue;
+            shed(item, RuntimeErrorKind::Cancelled,
+                 "request cancelled before evaluation", wait);
+            onComplete_(-1.0);
+        } else if (item.hasDeadline && taken > item.deadline) {
+            shed(item, RuntimeErrorKind::Timeout, "deadline expired in queue",
+                 wait);
+            onComplete_(-1.0);
+        } else {
+            live_.push_back(&item);
         }
-        if (item.hasDeadline && flush > item.deadline) {
-            stats_.scalar("timeouts").inc();
-            obs::MetricsRegistry::global().counter("runtime.timeout").inc();
-            obs::recordInstant("runtime", "request.timeout",
-                               hooks_.traceRequests);
-            shedItem(item, RuntimeErrorKind::Timeout,
-                     "deadline expired in queue", wait);
-            hooks_.onComplete(-1.0);
-            continue;
-        }
-        live.push_back(&item);
     }
-    if (live.empty())
-        return;
 
     // Same-model is guaranteed (one engine, one replica prototype) but
-    // image shapes may still differ; group by shape so every runBatch
-    // call is a well-formed micro-batch.
-    std::vector<std::vector<QueueItem *>> groups;
-    for (QueueItem *item : live) {
-        bool placed = false;
-        for (auto &group : groups) {
-            if (sameShape(group.front()->request.image,
-                          item->request.image)) {
-                group.push_back(item);
-                placed = true;
-                break;
-            }
+    // image shapes may still differ: each same-shape group is one
+    // runBatch call. The partition is stable, so a group keeps the
+    // queue order of its requests.
+    auto first = live_.begin();
+    while (first != live_.end()) {
+        const QueueItem *lead = *first;
+        const auto last = std::stable_partition(
+            first, live_.end(), [lead](const QueueItem *item) {
+                return sameShape(item->request.image, lead->request.image);
+            });
+        const std::span<QueueItem *> group(first, last);
+        first = last;
+        const auto start = std::chrono::steady_clock::now();
+        const int n = static_cast<int>(group.size());
+
+        // A group of one is traced as a `request` span carrying its id
+        // and queue wait; a real batch as one `batch.flush` span over
+        // the shared chip walk, plus the batch-size metrics. Either is
+        // a sampling root: TraceConfig::sampleEvery applies to it and
+        // suppresses the chip/noc spans nested inside the replica call
+        // when it is sampled out.
+        const bool solo = n == 1;
+        obs::TraceSpan span("runtime", solo ? "request" : "batch.flush",
+                            config_.traceRequests, /*sampled_root=*/true);
+        if (solo) {
+            span.arg("id", static_cast<double>(group[0]->request.id));
+            span.arg("wait_ms", 1e3 * secondsSince(group[0]->enqueued, start));
+        } else {
+            span.arg("size", static_cast<double>(n));
+            stats_.scalar("batch.size").sample(static_cast<double>(n));
+            stats_
+                .histogram("batch.size.hist", kBatchLo, kBatchHi,
+                           kBatchBuckets)
+                .sample(static_cast<double>(n));
+            auto &registry = obs::MetricsRegistry::global();
+            registry.counter("runtime.batch.flush").inc();
+            registry.observe("runtime.batch.size", static_cast<double>(n),
+                             kBatchLo, kBatchHi, kBatchBuckets);
         }
-        if (!placed)
-            groups.push_back({item});
+        // Distributed-trace hop per request: a request carrying wire
+        // trace context links its evaluation into the client/server flow.
+        requests_.clear();
+        for (QueueItem *item : group) {
+            obs::recordFlowStep("runtime", "request.flow",
+                                item->request.traceId, config_.traceRequests);
+            requests_.push_back(&item->request);
+        }
+        // Sampling the queue depth takes the queue mutex: only pay for
+        // it when a trace session is actually recording.
+        if (config_.traceRequests)
+            obs::recordCounter("queue.depth",
+                               static_cast<double>(queue_->size()),
+                               config_.traceRequests);
+
+        std::vector<InferenceResult> results;
+        std::string fault;
+        bool faulted = false;
+        try {
+            results = replica_->runBatch(requests_);
+        } catch (...) {
+            faulted = true;
+            fault = currentExceptionMessage();
+        }
+        const double walk_seconds =
+            secondsSince(start, std::chrono::steady_clock::now());
+
+        // Replica time of the whole group: the shared walk plus every
+        // hedged ABFT re-run. Each request's own service time is the
+        // walk it rode plus its own re-run, if any.
+        double busy = walk_seconds;
+        bool violated = false;
+        if (faulted) {
+            for (QueueItem *item : group)
+                shed(*item, RuntimeErrorKind::ReplicaFault, fault,
+                     secondsSince(item->enqueued, start));
+            ++consecutiveFaults_;
+        } else {
+            NEBULA_ASSERT(results.size() == group.size(),
+                          "replica returned wrong batch result count");
+            for (int i = 0; i < n; ++i) {
+                QueueItem &item = *group[static_cast<size_t>(i)];
+                InferenceResult &result = results[static_cast<size_t>(i)];
+                double service = walk_seconds;
+                // ABFT verdict check before any bookkeeping fields are
+                // filled (the batched walk attributes checksum
+                // comparisons per image): a hedged re-run replaces the
+                // whole result, and its time is billed to this request.
+                if (result.integrity.violations > 0 && result.ok()) {
+                    violated = true;
+                    const auto redo = std::chrono::steady_clock::now();
+                    handleViolation(item, result);
+                    const double redo_seconds =
+                        secondsSince(redo, std::chrono::steady_clock::now());
+                    service += redo_seconds;
+                    busy += redo_seconds;
+                }
+                const double wait = secondsSince(item.enqueued, start);
+                result.id = item.request.id;
+                result.workerId = resultWorkerId_;
+                result.queueSeconds = wait;
+                result.serviceSeconds = service;
+
+                requestsStat_.inc();
+                latencyStat_.sample(1e3 * (wait + service));
+                serviceStat_.sample(1e3 * service);
+                waitStat_.sample(1e3 * wait);
+                latencyHist_.sample(1e3 * (wait + service));
+                serviceHist_.sample(1e3 * service);
+                waitHist_.sample(1e3 * wait);
+                spikesStat_.add(static_cast<double>(result.spikes));
+
+                item.promise.set_value(std::move(result));
+            }
+            span.arg("service_ms", 1e3 * busy);
+            flushEwmaSec_ = flushEwmaSec_ <= 0.0
+                                ? busy
+                                : flushEwmaSec_ + 0.2 * (busy - flushEwmaSec_);
+            consecutiveFaults_ = 0;
+        }
+
+        // Probes run after the callers have their answers, so the canary
+        // cost lands on the worker, not on any request's latency. One
+        // escalated probe per group no matter how many items were
+        // flagged (detection already proved this replica computes wrong
+        // sums; the probe targets the replica, not the requests), and
+        // one periodic probe after a successful evaluation. Either may
+        // repair or swap replica_ (demotion).
+        if (health_ && violated)
+            probeHealth(/*escalated=*/true);
+        if (health_ && !faulted)
+            probeHealth(/*escalated=*/false);
+
+        // Restart BEFORE completion accounting: once the last onComplete
+        // lands, waitIdle may return, and a quiesced engine must already
+        // reflect any supervisor restart this group earned -- the next
+        // group then runs on the fresh replica too.
+        maybeRestartReplica();
+
+        // One completion per request keeps the engine's submitted_ /
+        // completed_ quiesce accounting balanced. The admission EWMA
+        // predicts per-request queue drain, and a batch retires n
+        // requests in one walk: it gets each request's share.
+        const double share = faulted ? -1.0 : busy / n;
+        for (int i = 0; i < n; ++i)
+            onComplete_(share);
     }
-    for (auto &group : groups)
-        flushGroup(group);
 }
 
 void
-Worker::flushGroup(std::vector<QueueItem *> &group)
-{
-    const auto start = std::chrono::steady_clock::now();
-    const int n = static_cast<int>(group.size());
-
-    stats_.scalar("batch.size").sample(static_cast<double>(n));
-    stats_
-        .histogram("batch.size.hist", kBatchLo, kBatchHi, kBatchBuckets)
-        .sample(static_cast<double>(n));
-    auto &registry = obs::MetricsRegistry::global();
-    registry.counter("runtime.batch.flush").inc();
-    registry.observe("runtime.batch.size", static_cast<double>(n),
-                     kBatchLo, kBatchHi, kBatchBuckets);
-
-    // One flush span covers the shared chip walk; each request still
-    // contributes its own distributed-trace flow hop.
-    obs::TraceSpan span("runtime", "batch.flush", hooks_.traceRequests,
-                        /*sampled_root=*/true);
-    span.arg("size", static_cast<double>(n));
-    for (QueueItem *item : group)
-        obs::recordFlowStep("runtime", "request.flow",
-                            item->request.traceId, hooks_.traceRequests);
-    // Queue-depth sampling takes the queue mutex; trace-gated as in
-    // the solo path.
-    if (hooks_.traceRequests)
-        obs::recordCounter("queue.depth",
-                           static_cast<double>(queue_->size()),
-                           hooks_.traceRequests);
-
-    double service = -1.0;
-    bool violated = false;
-    try {
-        std::vector<const InferenceRequest *> requests;
-        requests.reserve(group.size());
-        for (QueueItem *item : group)
-            requests.push_back(&item->request);
-        std::vector<InferenceResult> results = replica_->runBatch(requests);
-        NEBULA_ASSERT(results.size() == group.size(),
-                      "replica returned wrong batch result count");
-        const auto end = std::chrono::steady_clock::now();
-        const double batch_seconds = secondsSince(start, end);
-        span.arg("service_ms", 1e3 * batch_seconds);
-
-        for (size_t i = 0; i < group.size(); ++i) {
-            QueueItem &item = *group[i];
-            InferenceResult &result = results[i];
-            // Per-item ABFT verdict (the batched walk attributes
-            // checksum comparisons per image): a flagged item is
-            // re-run solo on the fallback before its promise settles;
-            // the others keep their shared-walk results untouched.
-            if (result.integrity.violations > 0 && result.ok()) {
-                violated = true;
-                handleViolation(item, result);
-            }
-            const double wait = secondsSince(item.enqueued, start);
-            result.id = item.request.id;
-            result.workerId = id_;
-            result.queueSeconds = wait;
-            // Each request rode the whole shared walk, so each one's
-            // service time is the batch evaluation time.
-            result.serviceSeconds = batch_seconds;
-
-            requestsStat_.inc();
-            latencyStat_.sample(1e3 * (wait + batch_seconds));
-            serviceStat_.sample(1e3 * batch_seconds);
-            waitStat_.sample(1e3 * wait);
-            latencyHist_.sample(1e3 * (wait + batch_seconds));
-            serviceHist_.sample(1e3 * batch_seconds);
-            waitHist_.sample(1e3 * wait);
-            spikesStat_.add(static_cast<double>(result.spikes));
-
-            item.promise.set_value(std::move(result));
-        }
-        // The admission EWMA predicts per-request queue drain, and a
-        // batch retires n requests in one walk: feed it the effective
-        // per-request service time, not the whole-batch time. The
-        // gather-window slack EWMA tracks the whole flush instead --
-        // that is what the next batch must fit in front of a deadline.
-        service = batch_seconds / n;
-        flushEwmaSec_ =
-            flushEwmaSec_ <= 0.0
-                ? batch_seconds
-                : flushEwmaSec_ + 0.2 * (batch_seconds - flushEwmaSec_);
-        consecutiveFaults_ = 0;
-    } catch (const std::exception &e) {
-        for (QueueItem *item : group) {
-            stats_.scalar("failures").inc();
-            obs::MetricsRegistry::global()
-                .counter("runtime.replica_fault")
-                .inc();
-            obs::recordInstant("runtime", "request.failed",
-                               hooks_.traceRequests);
-            shedItem(*item, RuntimeErrorKind::ReplicaFault, e.what(),
-                     secondsSince(item->enqueued, start));
-        }
-        ++consecutiveFaults_;
-    } catch (...) {
-        for (QueueItem *item : group) {
-            stats_.scalar("failures").inc();
-            obs::MetricsRegistry::global()
-                .counter("runtime.replica_fault")
-                .inc();
-            obs::recordInstant("runtime", "request.failed",
-                               hooks_.traceRequests);
-            shedItem(*item, RuntimeErrorKind::ReplicaFault,
-                     "replica threw a non-std exception",
-                     secondsSince(item->enqueued, start));
-        }
-        ++consecutiveFaults_;
-    }
-
-    // One escalated probe per flushed batch no matter how many items
-    // were flagged -- the probe targets the replica, not the requests.
-    if (violated)
-        escalateHealthProbe();
-
-    // One probe per flushed batch, promises already settled (see the
-    // solo-path comment for why this must stay outside the try block).
-    if (service >= 0.0 && hooks_.health) {
-        try {
-            hooks_.health->afterRequest(id_, replica_);
-        } catch (...) {
-            stats_.scalar("probe_failures").inc();
-            obs::MetricsRegistry::global()
-                .counter("health.probe_fault")
-                .inc();
-            obs::recordInstant("runtime", "health.probe_fault",
-                               hooks_.traceRequests);
-            ++consecutiveFaults_;
-        }
-    }
-
-    // Restart BEFORE completion accounting (like the solo path): once
-    // the last onComplete lands, waitIdle may return, and a quiesced
-    // engine must already reflect any supervisor restart this flush
-    // earned -- the next flush of this gather then runs on the fresh
-    // replica too.
-    maybeRestartReplica();
-
-    // One onComplete per request keeps the engine's submitted_ /
-    // completed_ quiesce accounting balanced.
-    for (size_t i = 0; i < group.size(); ++i)
-        hooks_.onComplete(service);
-}
-
-bool
 Worker::handleViolation(const QueueItem &item, InferenceResult &result)
 {
     auto &registry = obs::MetricsRegistry::global();
     stats_.scalar("abft.violations").inc();
     registry.counter("abft.request_violations").inc();
-    obs::recordInstant("runtime", "abft.violation", hooks_.traceRequests);
+    obs::recordInstant("runtime", "abft.violation", config_.traceRequests);
 
-    if (!hooks_.abftReExecute || !hooks_.abftFallback)
-        return false;
+    if (!config_.abft.reExecute || !config_.abft.fallback)
+        return;
     // Deadline-aware hedging: once the request's budget has lapsed, a
     // re-run can only turn a flagged-but-delivered answer into a late
     // one. The flagged original (with integrity.violations set) is the
     // better outcome -- the client sees the corruption verdict.
     if (item.hasDeadline &&
         std::chrono::steady_clock::now() > item.deadline)
-        return false;
+        return;
     if (!abftFallback_) {
-        abftFallback_ = hooks_.abftFallback(id_);
+        abftFallback_ = config_.abft.fallback(id_);
         if (!abftFallback_)
-            return false;
+            return;
     }
     try {
         // Exactly one re-execution attempt, with the request's own
@@ -543,28 +404,30 @@ Worker::handleViolation(const QueueItem &item, InferenceResult &result)
         stats_.scalar("abft.reexecutions").inc();
         registry.counter("abft.reexecutions").inc();
         obs::recordInstant("runtime", "abft.reexecute",
-                           hooks_.traceRequests);
-        return true;
+                           config_.traceRequests);
     } catch (...) {
         // A faulting fallback must not unseat the flagged original:
         // the promise chain still delivers a typed answer either way.
         registry.counter("abft.reexec_fault").inc();
-        return false;
     }
 }
 
 void
-Worker::escalateHealthProbe()
+Worker::probeHealth(bool escalated)
 {
-    if (!hooks_.health)
-        return;
     try {
-        hooks_.health->probeNow(id_, replica_);
+        if (escalated)
+            health_->probeNow(id_, replica_);
+        else
+            health_->afterRequest(id_, replica_);
     } catch (...) {
+        // The promises are already satisfied: a throwing probe must be
+        // absorbed here, accounted as a fault (feeding the supervisor),
+        // and never reach shed(), which would set a promise twice.
         stats_.scalar("probe_failures").inc();
         obs::MetricsRegistry::global().counter("health.probe_fault").inc();
         obs::recordInstant("runtime", "health.probe_fault",
-                           hooks_.traceRequests);
+                           config_.traceRequests);
         ++consecutiveFaults_;
     }
 }
@@ -572,12 +435,12 @@ Worker::escalateHealthProbe()
 void
 Worker::maybeRestartReplica()
 {
-    if (hooks_.superviseRestart && hooks_.maxConsecutiveFaults > 0 &&
-        consecutiveFaults_ >= hooks_.maxConsecutiveFaults) {
+    if (config_.maxConsecutiveFaults > 0 &&
+        consecutiveFaults_ >= config_.maxConsecutiveFaults) {
         NEBULA_DEBUG("runtime", "worker", id_, " restarting after ",
                      consecutiveFaults_, " consecutive faults");
         stats_.scalar("restarts").inc();
-        replica_ = hooks_.superviseRestart(id_, std::move(replica_));
+        replica_ = superviseRestart_(id_, std::move(replica_));
         NEBULA_ASSERT(replica_, "supervisor returned null replica");
         consecutiveFaults_ = 0;
     }

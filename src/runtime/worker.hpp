@@ -1,19 +1,22 @@
 /**
  * @file
- * Worker thread of the inference engine: pops requests from the shared
- * bounded queue, runs them on its private chip replica, fulfils the
- * request's promise and records latency/throughput into a worker-local
- * StatGroup. All per-request accounting is thread-local; the engine
- * merges it only after the pool has quiesced, so the hot path takes no
- * locks beyond the queue's own.
+ * Worker of the inference engine: owns a private chip replica and
+ * worker-local stats, and serve() is the engine's one request path.
+ * In a pool the worker's thread pops requests (or gathers micro-batches)
+ * from the shared bounded queue and serves them; in inline mode
+ * (numWorkers == 0) the thread never starts and submit() calls serve()
+ * on the caller's thread, so both modes run the same code. All
+ * per-request accounting is worker-local; the engine merges it only
+ * after the pool has quiesced, so the hot path takes no locks beyond
+ * the queue's own.
  *
- * Lifecycle hardening: every popped request reaches a typed terminal
+ * Lifecycle hardening: every served request reaches a typed terminal
  * outcome -- evaluated (ok), expired (Timeout), cancelled (Cancelled)
  * or failed (ReplicaFault) -- and the promise is always fulfilled with
  * a value, never broken and never an exception. A replica that throws
- * repeatedly is quarantined and replaced by the supervisor hook; the
- * optional health monitor probes the replica between requests and may
- * swap it too (repair / demotion).
+ * repeatedly is quarantined and replaced by the supervisor callback;
+ * the optional health monitor probes the replica between requests and
+ * may swap it too (repair / demotion).
  */
 
 #ifndef NEBULA_RUNTIME_WORKER_HPP
@@ -21,88 +24,50 @@
 
 #include <functional>
 #include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/stats.hpp"
+#include "runtime/config.hpp"
 #include "runtime/replica.hpp"
 #include "runtime/request.hpp"
 #include "runtime/request_queue.hpp"
 
 namespace nebula {
 
-class HealthMonitor;
-
-/** Engine callbacks and resilience knobs wired into each worker. */
-struct WorkerHooks
-{
-    /**
-     * Fired after each popped request has been fully accounted (promise
-     * fulfilled, worker-local stats written, health probe done).
-     * @p service_seconds is the replica evaluation time, or a negative
-     * value when the request was shed without evaluation (timeout /
-     * cancel / fault) -- the engine's service-time EWMA skips those.
-     */
-    std::function<void(double service_seconds)> onComplete;
-
-    /**
-     * Supervisor restart: called from the worker thread after
-     * maxConsecutiveFaults consecutive ReplicaFault outcomes with the
-     * poisoned replica; returns its freshly programmed replacement
-     * (typically a new clone from the engine's factory, with the old
-     * one quarantined for inspection). Null: no supervision.
-     */
-    std::function<std::unique_ptr<ChipReplica>(
-        int worker_id, std::unique_ptr<ChipReplica> old)>
-        superviseRestart;
-
-    /** Closed-loop health monitor (slot = worker id); null: off. */
-    HealthMonitor *health = nullptr;
-
-    /** Consecutive-fault threshold for superviseRestart (0: off). */
-    int maxConsecutiveFaults = 0;
-
-    /** Emit per-request trace spans when a session is active. */
-    bool traceRequests = true;
-
-    /**
-     * Micro-batch gather window (EngineConfig::batching): after a
-     * blocking pop the worker drains up to maxBatch-1 further requests,
-     * waiting at most maxWaitUs -- never past the earliest deadline it
-     * holds -- then flushes the batch through ChipReplica::runBatch.
-     * maxBatch <= 1 (default) keeps the solo dequeue path untouched.
-     */
-    int maxBatch = 1;
-
-    /** Longest gather wait in microseconds (see BatchingConfig). */
-    uint64_t maxWaitUs = 0;
-
-    /**
-     * Hedged re-execution of ABFT-flagged results (EngineConfig::abft):
-     * when a result carries integrity violations and the deadline still
-     * has room, the worker re-runs the request once on its lazily built
-     * fallback replica before settling the promise, then asks the
-     * health monitor to probe the offending slot immediately (no
-     * waiting for probeEvery).
-     */
-    bool abftReExecute = false;
-
-    /** Fallback replica factory for flagged re-runs (null: none). */
-    std::function<std::unique_ptr<ChipReplica>(int)> abftFallback;
-};
-
-/** One worker thread plus its private replica and local stats. */
+/** One worker: a private replica, local stats and (in a pool) a thread. */
 class Worker
 {
   public:
     /**
+     * Fired after each served request has been fully accounted (promise
+     * fulfilled, worker-local stats written, health probe done).
+     * @p service_seconds is the request's share of the replica time, or
+     * a negative value when the request was shed without evaluation
+     * (timeout / cancel / fault) -- the engine's service-time EWMA skips
+     * those.
+     */
+    using CompletionFn = std::function<void(double service_seconds)>;
+
+    /**
+     * Supervisor restart: called after EngineConfig::maxConsecutiveFaults
+     * consecutive faults with the poisoned replica; returns its freshly
+     * programmed replacement.
+     */
+    using RestartFn = std::function<std::unique_ptr<ChipReplica>(
+        int worker_id, std::unique_ptr<ChipReplica> old)>;
+
+    /**
      * @param id       0-based worker id (doubles as the health slot).
      * @param replica  Private chip replica (takes ownership).
      * @param queue    Shared request queue (not owned).
-     * @param hooks    Engine callbacks / resilience knobs.
+     * @param config   The engine's configuration (not owned).
      */
     Worker(int id, std::unique_ptr<ChipReplica> replica,
-           BoundedQueue<QueueItem> *queue, WorkerHooks hooks);
+           BoundedQueue<QueueItem> *queue, const EngineConfig &config,
+           CompletionFn onComplete, RestartFn superviseRestart);
 
     Worker(const Worker &) = delete;
     Worker &operator=(const Worker &) = delete;
@@ -110,8 +75,19 @@ class Worker
     /** Launch the thread (runs until the queue closes and drains). */
     void start();
 
-    /** Join the thread (must follow queue close). */
+    /** Join the thread (must follow queue close; no-op if never started). */
     void join();
+
+    /**
+     * Serve dequeued items -- one popped request, a gathered batch, or an
+     * inline submit. Cancelled and expired items are shed with typed
+     * outcomes; the rest are grouped by image shape and each group is one
+     * ChipReplica::runBatch call (solo is a group of one), followed by
+     * per-item ABFT hedging, stats and promise settlement, then one
+     * escalated probe, one periodic probe and a supervisor check per
+     * group, and finally one completion callback per item.
+     */
+    void serve(std::span<QueueItem> items);
 
     int id() const { return id_; }
 
@@ -132,56 +108,53 @@ class Worker
   private:
     void loop();
 
-    /** The pre-batching solo flow for one dequeued request. */
-    void processItem(QueueItem &item);
-
-    /**
-     * Flush a gathered micro-batch: re-check cancel/deadline per item
-     * at flush time (typed shed outcomes -- gathering never outlives a
-     * held deadline, but it may expire right at the boundary), group
-     * the survivors by image shape and run each group through
-     * ChipReplica::runBatch with per-item accounting.
-     */
-    void processBatch(std::vector<QueueItem> &items);
-
-    /** Evaluate one same-shape group of live items as a micro-batch. */
-    void flushGroup(std::vector<QueueItem *> &group);
-
-    /** Supervisor restart check shared by the solo and batch paths. */
+    /** Supervisor restart once the consecutive-fault threshold is hit. */
     void maybeRestartReplica();
 
     /**
      * Handle a result that came back with ABFT violations: bill the
      * abft.* metrics, optionally re-execute on the fallback replica
-     * (bounded to one attempt, skipped when the deadline has lapsed)
-     * and remember to escalate the health probe after the promise is
-     * settled. Returns true when the result was replaced by a clean
-     * fallback re-run.
+     * (bounded to one attempt, skipped when the deadline has lapsed),
+     * replacing @p result with the fallback's answer.
      */
-    bool handleViolation(const QueueItem &item, InferenceResult &result);
+    void handleViolation(const QueueItem &item, InferenceResult &result);
 
-    /** Immediate health probe of this slot (after promise settle). */
-    void escalateHealthProbe();
+    /**
+     * Health probe of this slot after the group's promises are settled:
+     * immediate (@p escalated, after an ABFT violation) or the periodic
+     * afterRequest cadence. A throwing probe is absorbed and counted as
+     * a fault, never re-touching a settled promise.
+     */
+    void probeHealth(bool escalated);
 
     /** Fulfil @p item with a typed non-evaluated terminal outcome. */
-    void shedItem(QueueItem &item, RuntimeErrorKind kind,
-                  std::string message, double wait_seconds);
+    void shed(QueueItem &item, RuntimeErrorKind kind,
+              const std::string &message, double wait_seconds);
 
     int id_;
+    int resultWorkerId_; //!< id_ in a pool, -1 for inline results
     std::unique_ptr<ChipReplica> replica_;
     BoundedQueue<QueueItem> *queue_;
-    WorkerHooks hooks_;
+    const EngineConfig &config_;
+    HealthMonitor *health_; //!< null unless a monitor is enabled
+    CompletionFn onComplete_;
+    RestartFn superviseRestart_;
     int consecutiveFaults_ = 0;
 
     /** Lazily built fallback replica for ABFT re-execution. */
     std::unique_ptr<ChipReplica> abftFallback_;
 
     /**
-     * EWMA of recent replica evaluation times (whole-flush, seconds),
-     * fed by both the solo and batch paths; sizes the slack margin the
-     * gather window keeps clear of any held deadline.
+     * EWMA of recent replica evaluation times (whole group, seconds);
+     * sizes the slack margin the gather window keeps clear of any held
+     * deadline.
      */
     double flushEwmaSec_ = 0.0;
+
+    /** serve() scratch, kept to reuse its capacity across calls. */
+    std::vector<QueueItem *> live_;
+    std::vector<const InferenceRequest *> requests_;
+
     StatGroup stats_;
 
     /**

@@ -289,10 +289,11 @@ protos()
 }
 
 /**
- * Pass-through wrapper that blocks inside solo run() until released.
- * Used as a "plug": the first request parks the single worker inside
- * the replica while the test queues more requests behind it, so the
- * next gather deterministically drains a multi-request batch. Forwards
+ * Pass-through wrapper that blocks inside every evaluation until
+ * released. Used as a "plug": the first request (a worker's group of
+ * one, served through runBatch) parks the single worker inside the
+ * replica while the test queues more requests behind it, so the next
+ * gather deterministically drains a multi-request batch. Forwards
  * supportsBatch/runBatch so the wrapped replica still coalesces.
  */
 class GatedBatchReplica : public ChipReplica
@@ -306,9 +307,7 @@ class GatedBatchReplica : public ChipReplica
 
     InferenceResult run(const InferenceRequest &request) override
     {
-        entered_->fetch_add(1, std::memory_order_acq_rel);
-        while (!release_->load(std::memory_order_acquire))
-            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        waitForRelease();
         return base_->run(request);
     }
 
@@ -317,6 +316,7 @@ class GatedBatchReplica : public ChipReplica
     std::vector<InferenceResult>
     runBatch(const std::vector<const InferenceRequest *> &requests) override
     {
+        waitForRelease();
         return base_->runBatch(requests);
     }
 
@@ -325,6 +325,13 @@ class GatedBatchReplica : public ChipReplica
     const char *mode() const override { return base_->mode(); }
 
   private:
+    void waitForRelease()
+    {
+        entered_->fetch_add(1, std::memory_order_acq_rel);
+        while (!release_->load(std::memory_order_acquire))
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+
     std::unique_ptr<ChipReplica> base_;
     std::atomic<bool> *release_;
     std::atomic<int> *entered_;
@@ -402,6 +409,11 @@ TEST(BatchingRuntime, ForcedBatchBitIdenticalToSequentialChip)
         futures.push_back(engine.submit(p.data.image(i)));
     release.store(true, std::memory_order_release);
 
+    // Each image's energy is the sum of its own windows' energies, which
+    // the batched walk bills in solo order: a solo replica run of the
+    // same image must bill exactly the same joules.
+    std::unique_ptr<ChipReplica> solo = base(0);
+
     EXPECT_TRUE(plug.get().ok());
     for (int i = 0; i < n; ++i) {
         const InferenceResult result = futures[static_cast<size_t>(i)].get();
@@ -412,6 +424,15 @@ TEST(BatchingRuntime, ForcedBatchBitIdenticalToSequentialChip)
         EXPECT_EQ(result.predictedClass,
                   expected[static_cast<size_t>(i)].argmaxRow(0));
         EXPECT_EQ(result.workerId, 0);
+
+        InferenceRequest request;
+        request.image = p.data.image(i);
+        const EnergyBreakdown energy = solo->run(request).energy;
+        EXPECT_EQ(result.energy.crossbarJ, energy.crossbarJ) << "image " << i;
+        EXPECT_EQ(result.energy.driverJ, energy.driverJ) << "image " << i;
+        EXPECT_EQ(result.energy.adcJ, energy.adcJ) << "image " << i;
+        EXPECT_EQ(result.energy.neuronJ, energy.neuronJ) << "image " << i;
+        EXPECT_EQ(result.energy.nocJ, energy.nocJ) << "image " << i;
     }
 
     // The gather actually coalesced: a multi-request flush was recorded.

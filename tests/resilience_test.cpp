@@ -440,14 +440,23 @@ TEST(Resilience, DeadlineAwareAdmissionShedsPredictedMisses)
     engine.shutdown();
 }
 
-TEST(Resilience, CancelFlagResolvesToCancelledWithoutEvaluation)
+/**
+ * Cancelled requests resolve to Cancelled without reaching the replica,
+ * at a given worker count. A pool parks its worker on a gated request
+ * and cancels one queued behind it; inline mode evaluates at submit, so
+ * there the flag is set before the request is submitted.
+ */
+void
+cancelFlagResolvesToCancelled(int num_workers)
 {
     Prototypes &p = protos();
     std::atomic<int> entered{0};
-    std::atomic<bool> release{false};
+    // Inline mode evaluates on this thread: an initially closed gate
+    // would park the test itself.
+    std::atomic<bool> release{num_workers == 0};
 
     EngineConfig cfg;
-    cfg.numWorkers = 1;
+    cfg.numWorkers = num_workers;
     cfg.queueCapacity = 4;
     auto base = makeAnnReplicaFactory(p.quantNet, p.quant);
     InferenceEngine engine(cfg, [&](int id) {
@@ -460,7 +469,7 @@ TEST(Resilience, CancelFlagResolvesToCancelledWithoutEvaluation)
 
     InferenceRequest cancellable;
     cancellable.image = p.data.image(1);
-    cancellable.cancel = std::make_shared<std::atomic<bool>>(false);
+    cancellable.cancel = std::make_shared<std::atomic<bool>>(num_workers == 0);
     CancelFlag flag = cancellable.cancel;
     auto b = engine.submit(std::move(cancellable));
     flag->store(true); // while still queued behind the gate
@@ -478,7 +487,19 @@ TEST(Resilience, CancelFlagResolvesToCancelledWithoutEvaluation)
     dead.cancel = std::make_shared<std::atomic<bool>>(true);
     EXPECT_EQ(engine.submit(std::move(dead)).get().error,
               RuntimeErrorKind::Cancelled);
+    // Only the first request was ever evaluated.
+    EXPECT_EQ(entered.load(), 1);
     engine.shutdown();
+}
+
+TEST(Resilience, CancelFlagResolvesToCancelledWithoutEvaluation)
+{
+    cancelFlagResolvesToCancelled(/*num_workers=*/1);
+}
+
+TEST(Resilience, CancelFlagResolvesToCancelledInline)
+{
+    cancelFlagResolvesToCancelled(/*num_workers=*/0);
 }
 
 // ---------------------------------------------------------------------------
@@ -601,12 +622,14 @@ TEST(Resilience, ChaosLoadResolvesEveryFutureToTypedOutcome)
                        engine.config().quarantineCapacity));
 }
 
-TEST(Resilience, QuarantineRetentionIsCapped)
+/** Supervisor restarts keep a bounded quarantine at a worker count. */
+void
+quarantineRetentionIsCapped(int num_workers)
 {
     Prototypes &p = protos();
 
     EngineConfig cfg;
-    cfg.numWorkers = 1;
+    cfg.numWorkers = num_workers;
     cfg.maxConsecutiveFaults = 1; // restart after every fault
     cfg.quarantineCapacity = 2;
     auto base = makeAnnReplicaFactory(p.quantNet, p.quant);
@@ -624,6 +647,18 @@ TEST(Resilience, QuarantineRetentionIsCapped)
     EXPECT_EQ(engine.workerRestarts(), 5u);
     EXPECT_EQ(engine.quarantinedCount(), 2u);
     engine.shutdown();
+}
+
+TEST(Resilience, QuarantineRetentionIsCapped)
+{
+    quarantineRetentionIsCapped(/*num_workers=*/1);
+}
+
+// Inline mode runs the worker's code on the submitting thread, so it
+// gets the same supervisor restarts.
+TEST(Resilience, QuarantineRetentionIsCappedInline)
+{
+    quarantineRetentionIsCapped(/*num_workers=*/0);
 }
 
 // ---------------------------------------------------------------------------
@@ -864,12 +899,14 @@ TEST(Health, FailedRepairEscalatesToFineTuneBeforeDemotion)
     engine.shutdown();
 }
 
-// The canary probe runs on the worker thread after the request's
-// promise is already satisfied. A replica that faults *during the
-// probe* must not crash the worker (std::terminate via a second
-// set_value on the settled promise) -- the probe failure is absorbed
-// and later requests still resolve to typed outcomes.
-TEST(Health, ThrowingProbeNeverTouchesTheSettledPromise)
+// The canary probe runs after the request's promise is already
+// satisfied. A replica that faults *during the probe* must not crash
+// the worker (std::terminate via a second set_value on the settled
+// promise, or std::future_error at an inline submitter) -- the probe
+// failure is absorbed and later requests still resolve to typed
+// outcomes.
+void
+throwingProbeNeverTouchesTheSettledPromise(int num_workers)
 {
     Prototypes &p = protos();
 
@@ -878,7 +915,7 @@ TEST(Health, ThrowingProbeNeverTouchesTheSettledPromise)
     std::vector<Tensor> canaries{p.data.image(40)};
 
     EngineConfig cfg;
-    cfg.numWorkers = 1;
+    cfg.numWorkers = num_workers;
     cfg.maxConsecutiveFaults = 0; // keep the poisoned replica in place
     cfg.health = std::make_shared<HealthMonitor>(hc, canaries);
     auto base = makeAnnReplicaFactory(p.quantNet, p.quant);
@@ -901,29 +938,14 @@ TEST(Health, ThrowingProbeNeverTouchesTheSettledPromise)
     engine.shutdown();
 }
 
-// Same hazard on the inline (numWorkers == 0) path: a throwing probe
-// used to land in runInline's catch block, whose second set_value threw
-// std::future_error at the submitter instead of returning the future.
+TEST(Health, ThrowingProbeNeverTouchesTheSettledPromise)
+{
+    throwingProbeNeverTouchesTheSettledPromise(/*num_workers=*/1);
+}
+
 TEST(Health, ThrowingProbeInlineStillReturnsTypedResults)
 {
-    Prototypes &p = protos();
-
-    HealthConfig hc;
-    hc.probeEvery = 1;
-    std::vector<Tensor> canaries{p.data.image(40)};
-
-    EngineConfig cfg;
-    cfg.numWorkers = 0;
-    cfg.health = std::make_shared<HealthMonitor>(hc, canaries);
-    auto base = makeAnnReplicaFactory(p.quantNet, p.quant);
-    InferenceEngine engine(cfg, [&](int id) {
-        return std::make_unique<PoisonedReplica>(base(id), /*healthy=*/2);
-    });
-
-    EXPECT_TRUE(engine.submit(p.data.image(0)).get().ok());
-    EXPECT_EQ(engine.submit(p.data.image(1)).get().error,
-              RuntimeErrorKind::ReplicaFault);
-    engine.shutdown();
+    throwingProbeNeverTouchesTheSettledPromise(/*num_workers=*/0);
 }
 
 } // namespace

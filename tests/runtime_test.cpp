@@ -196,6 +196,16 @@ TEST(Runtime, InlineModeMatchesWorkerPool)
         const InferenceResult b = pool_future.get();
         EXPECT_TRUE(bitIdentical(a.logits, b.logits));
         EXPECT_EQ(a.workerId, -1);
+        // Same worker code, same per-image window sums: the energy bill
+        // and the ABFT verdict match the pool's bit for bit too.
+        EXPECT_EQ(a.energy.crossbarJ, b.energy.crossbarJ);
+        EXPECT_EQ(a.energy.driverJ, b.energy.driverJ);
+        EXPECT_EQ(a.energy.adcJ, b.energy.adcJ);
+        EXPECT_EQ(a.energy.neuronJ, b.energy.neuronJ);
+        EXPECT_EQ(a.energy.nocJ, b.energy.nocJ);
+        EXPECT_EQ(a.integrity.checks, b.integrity.checks);
+        EXPECT_EQ(a.integrity.violations, b.integrity.violations);
+        EXPECT_EQ(a.integrity.reExecuted, b.integrity.reExecuted);
     }
     // Inline mode serves from the calling thread: nothing ever queued.
     EXPECT_EQ(inline_engine.queueDepth(), 0u);
