@@ -40,6 +40,7 @@
 #include <functional>
 #include <iostream>
 #include <limits>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -155,29 +156,39 @@ bestOf3Rate(double items, const std::function<void()> &fn,
  */
 constexpr double kMinServingRepSeconds = 0.02;
 
-/** One timed serving run; returns images/sec. */
-double
-measureThroughput(int workers, int batches, double *mean_latency_ms,
-                  const BatchingConfig &batching = {},
-                  double *mean_batch_size = nullptr)
+/**
+ * A warmed-up MLP serving engine kept for repeated timing: a paired
+ * study builds one per side and times it in every round, so each round
+ * compares the same two engines rather than a freshly built pair.
+ */
+std::unique_ptr<InferenceEngine>
+makeThroughputEngine(int workers, const BatchingConfig &batching = {})
 {
     Workload &w = workload();
     EngineConfig cfg;
     cfg.numWorkers = workers;
     cfg.queueCapacity = 2 * w.images.size();
     cfg.batching = batching;
-    InferenceEngine engine(cfg, makeAnnReplicaFactory(w.net, w.quant));
+    auto engine = std::make_unique<InferenceEngine>(
+        cfg, makeAnnReplicaFactory(w.net, w.quant));
 
     // Warm-up: fault in every replica's code/data paths.
-    for (auto &f : engine.submitBatch({w.images[0], w.images[1]}))
+    for (auto &f : engine->submitBatch({w.images[0], w.images[1]}))
         f.get();
+    return engine;
+}
 
+/** Images/sec of @p engine over @p batches saturated workload batches. */
+double
+measureThroughput(InferenceEngine &engine, int batches)
+{
+    Workload &w = workload();
     // Best-of-3 repetitions of at least kMinServingRepSeconds each: a
     // single scheduler preemption on a small CI host can still slow one
     // repetition. The fastest repetition is the least-disturbed one;
     // ratios between studies stay meaningful because every study
     // rejects interference the same way.
-    const double rate = bestOf3Rate(
+    return bestOf3Rate(
         static_cast<double>(batches) * w.images.size(),
         [&] {
             for (int b = 0; b < batches; ++b)
@@ -185,18 +196,22 @@ measureThroughput(int workers, int batches, double *mean_latency_ms,
                     future.get();
         },
         kMinServingRepSeconds);
+}
 
-    if (mean_latency_ms || mean_batch_size) {
-        const StatGroup stats = engine.runtimeStats();
-        if (mean_latency_ms)
-            *mean_latency_ms = stats.scalarAt("latency_ms").mean();
-        if (mean_batch_size)
-            *mean_batch_size = stats.hasScalar("batch.size")
-                                   ? stats.scalarAt("batch.size").mean()
-                                   : 1.0;
-    }
-    engine.shutdown();
-    return rate;
+/** Mean request latency (ms) over everything @p engine served. */
+double
+meanLatencyMs(InferenceEngine &engine)
+{
+    return engine.runtimeStats().scalarAt("latency_ms").mean();
+}
+
+/** Mean flushed batch size of @p engine (1 when it never batched). */
+double
+meanBatchSize(InferenceEngine &engine)
+{
+    const StatGroup stats = engine.runtimeStats();
+    return stats.hasScalar("batch.size") ? stats.scalarAt("batch.size").mean()
+                                         : 1.0;
 }
 
 void
@@ -215,8 +230,10 @@ printThroughputStudy()
         tinyMode() ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
     const int batches = tinyMode() ? 1 : 2;
     for (int workers : worker_counts) {
-        double latency_ms = 0.0;
-        const double rate = measureThroughput(workers, batches, &latency_ms);
+        const auto engine = makeThroughputEngine(workers);
+        const double rate = measureThroughput(*engine, batches);
+        const double latency_ms = meanLatencyMs(*engine);
+        engine->shutdown();
         if (workers == 1)
             base = rate;
         bench::record("images_per_sec.w" + std::to_string(workers), rate);
@@ -237,27 +254,30 @@ printThroughputStudy()
  * Dynamic micro-batching study at the 2-worker operating point the
  * committed baselines pin: the same saturated offered load served with
  * the gather window off vs on (drain-only, maxWaitUs = 0 -- the worker
- * coalesces whatever is already queued, adding no latency), alternated
- * over three rounds. The recorded `throughput.w2.speedup.batched` ratio
- * divides out host speed, so CI regresses on it; `batch.mean_size.w2`
- * documents how large the windows actually got under this load (last
- * round, as are the latencies).
+ * coalesces whatever is already queued, adding no latency): one engine
+ * per side, alternated over three rounds. The recorded
+ * `throughput.w2.speedup.batched` ratio divides out host speed, so CI
+ * regresses on it; `batch.mean_size.w2` documents how large the windows
+ * actually got under this load (over all rounds, as are the latencies).
  */
 void
 printBatchedThroughputStudy()
 {
     const int batches = tinyMode() ? 1 : 2;
 
-    double lat_solo = 0.0, lat_batched = 0.0, mean_batch = 1.0;
     BatchingConfig bc;
     bc.maxBatch = 32;
     bc.maxWaitUs = 0;
+    const auto solo_engine = makeThroughputEngine(2);
+    const auto batched_engine = makeThroughputEngine(2, bc);
     const std::array<double, 2> rates = alternatingBest(
-        [&] { return measureThroughput(2, batches, &lat_solo); },
-        [&] {
-            return measureThroughput(2, batches, &lat_batched, bc,
-                                     &mean_batch);
-        });
+        [&] { return measureThroughput(*solo_engine, batches); },
+        [&] { return measureThroughput(*batched_engine, batches); });
+    const double lat_solo = meanLatencyMs(*solo_engine);
+    const double lat_batched = meanLatencyMs(*batched_engine);
+    const double mean_batch = meanBatchSize(*batched_engine);
+    solo_engine->shutdown();
+    batched_engine->shutdown();
     const double solo = rates[0];
     const double batched = rates[1];
     const double speedup = batched / solo;
@@ -289,42 +309,38 @@ printBatchedThroughputStudy()
 }
 
 /**
- * Serve @p images requests through a single-worker engine built from
- * @p factory and return images/sec.
+ * A warmed-up single-worker engine built from @p factory, sized for
+ * @p images queued requests; like makeThroughputEngine(), one per side
+ * of a paired study.
  */
-double
-measureServingRate(const ReplicaFactory &factory, int images,
-                   int timesteps, const BatchingConfig &batching = {},
-                   double *mean_batch_size = nullptr)
+std::unique_ptr<InferenceEngine>
+makeServingEngine(const ReplicaFactory &factory, int images,
+                  const BatchingConfig &batching = {})
 {
-    Workload &w = workload();
     EngineConfig cfg;
     cfg.numWorkers = 1;
-    cfg.defaultTimesteps = std::max(timesteps, 1);
     cfg.queueCapacity = static_cast<size_t>(2 * images + 4);
     cfg.batching = batching;
-    InferenceEngine engine(cfg, factory);
+    auto engine = std::make_unique<InferenceEngine>(cfg, factory);
+    engine->submit(workload().images[0]).get(); // warm-up
+    return engine;
+}
 
-    engine.submit(w.images[0]).get(); // warm-up
-
+/** Images/sec of @p engine serving the first @p images workload images. */
+double
+measureServingRate(InferenceEngine &engine, int images)
+{
+    Workload &w = workload();
     std::vector<Tensor> batch(w.images.begin(), w.images.begin() + images);
     // Best-of-3, for the same reason as measureThroughput: the fastest
     // repetition is the one the host scheduler disturbed least.
-    const double rate = bestOf3Rate(
+    return bestOf3Rate(
         images,
         [&] {
             for (auto &future : engine.submitBatch(batch))
                 future.get();
         },
         kMinServingRepSeconds);
-    if (mean_batch_size) {
-        const StatGroup stats = engine.runtimeStats();
-        *mean_batch_size = stats.hasScalar("batch.size")
-                               ? stats.scalarAt("batch.size").mean()
-                               : 1.0;
-    }
-    engine.shutdown();
-    return rate;
 }
 
 /**
@@ -518,14 +534,16 @@ printFastPathStudy()
     BatchingConfig bc;
     bc.maxBatch = 32;
     bc.maxWaitUs = 0;
-    double ann_mean_batch = 1.0;
     const ReplicaFactory factory = makeAnnReplicaFactory(w.net, w.quant);
+    const auto solo_engine = makeServingEngine(factory, ann_images);
+    const auto batched_engine =
+        makeServingEngine(factory, ann_images, bc);
     const std::array<double, 2> ann_rates = alternatingBest(
-        [&] { return measureServingRate(factory, ann_images, 0); },
-        [&] {
-            return measureServingRate(factory, ann_images, 0, bc,
-                                      &ann_mean_batch);
-        });
+        [&] { return measureServingRate(*solo_engine, ann_images); },
+        [&] { return measureServingRate(*batched_engine, ann_images); });
+    const double ann_mean_batch = meanBatchSize(*batched_engine);
+    solo_engine->shutdown();
+    batched_engine->shutdown();
     const double ann_batch_gain = ann_rates[1] / ann_rates[0];
     bench::record("ann.images_per_sec.fast", ann_rates[0]);
     bench::record("ann.images_per_sec.batched", ann_rates[1]);

@@ -76,6 +76,20 @@ emitAffine(float *out, size_t stride, const float *bias,
             static_cast<float>(currents[j] / kappa * scale + bias[j]);
 }
 
+/**
+ * Emit one conv output plane from plane-major currents: out[w] =
+ * currents[w] / kappa * scale + bias over the plane's @p n windows --
+ * emitAffine()'s expression with the plane's one bias, stored
+ * contiguously so the divides vectorize.
+ */
+NEBULA_TARGET_CLONES void
+emitPlane(float *out, const double *currents, int n, double kappa,
+          double scale, float bias)
+{
+    for (int w = 0; w < n; ++w)
+        out[w] = static_cast<float>(currents[w] / kappa * scale + bias);
+}
+
 /** Element count of a tensor shape. */
 long long
 shapeElements(const std::vector<int> &shape)
@@ -933,6 +947,12 @@ NebulaChip::bindSnnFastPlan(const std::vector<int> &in_shape)
                               stage.pad, 1, 1, stage.tapW, stage.tapsW);
                 stage.rows.assign(windows * stage.rf, 0);
                 stage.counts.assign(windows, 0);
+                const size_t groups =
+                    layers_[stage.layerIndex].groups.size();
+                stage.planeCurrents.assign(
+                    windows * static_cast<size_t>(config_.atomicSize), 0.0);
+                stage.windowEnergy.assign(groups * windows, 0.0);
+                stage.windowCheck.assign(groups * windows, CrossbarCheck{});
             } else {
                 stage.window.assign(static_cast<size_t>(stage.rf), 0.0);
             }
@@ -1050,11 +1070,42 @@ NebulaChip::snnFastWeightStage(SnnFastStage &stage, const float *in)
                     }
                 }
             }
+            // One spike-window call per column group, each kernel plane
+            // emitted contiguously with the walk's affine expression.
             const int windows = stage.outH * stage.outW;
-            for (int w = 0; w < windows; ++w)
-                snnFastWindow(layer, rows + static_cast<size_t>(w) * rf,
-                              counts[w], nullptr, out + w,
-                              static_cast<size_t>(windows));
+            const size_t groups = layer.groups.size();
+            for (size_t g = 0; g < groups; ++g) {
+                const CrossbarArray &xbar = *layer.groups[g];
+                const size_t first = g * static_cast<size_t>(windows);
+                double *cur = stage.planeCurrents.data();
+                xbar.evaluateSpikeWindows(
+                    rows, static_cast<size_t>(rf), counts, windows,
+                    config_.cycleTime, cur, &stage.windowEnergy[first],
+                    &stage.windowCheck[first]);
+                const size_t offset =
+                    g * static_cast<size_t>(config_.atomicSize);
+                for (int j = 0; j < xbar.cols(); ++j)
+                    emitPlane(out + (offset + j) * windows,
+                              cur + static_cast<size_t>(j) * windows,
+                              windows, xbar.currentScale(),
+                              static_cast<double>(layer.weightScale),
+                              layer.bias[offset + j]);
+            }
+            // Billed window-major, group-minor: the walk's order, which
+            // fixes the rounding of the energy sum.
+            for (int w = 0; w < windows; ++w) {
+                for (size_t g = 0; g < groups; ++g) {
+                    const size_t k = g * windows + w;
+                    ++stats_.crossbarEvals;
+                    stats_.crossbarEnergy += stage.windowEnergy[k];
+                    if (config_.abft) {
+                        const CrossbarCheck &check = stage.windowCheck[k];
+                        stats_.abftChecks += check.checks;
+                        stats_.abftViolations += check.violations;
+                        stats_.adcConversions += check.checks;
+                    }
+                }
+            }
         } else {
             // Fractional input: the generic walk's dense window gather.
             const double *norm = stage.norm.data();

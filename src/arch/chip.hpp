@@ -294,6 +294,9 @@ class NebulaChip
         std::vector<ConvTap> tapsH, tapsW;
         std::vector<int> rows;   //!< rf active-row slots per window
         std::vector<int> counts; //!< active rows per window this step
+        std::vector<double> planeCurrents; //!< one group, plane-major
+        std::vector<double> windowEnergy;  //!< group-major, per window (J)
+        std::vector<CrossbarCheck> windowCheck; //!< group-major verdicts
 
         std::vector<double> norm;   //!< fractional input: drive factors
         std::vector<double> window; //!< fractional conv: one window
@@ -308,10 +311,15 @@ class NebulaChip
      * crossbar kernels pinned bit-identical to it -- through
      * preallocated buffers:
      *  - a weight stage fed by binary spikes (encoder or IF) drives only
-     *    the active rows; a conv stage scatters each ascending input
-     *    spike into the windows it touches, which leaves every window's
-     *    row list ascending, so per-column summation order (currents,
-     *    energy, ABFT verdicts) matches the walk's gather bit-for-bit;
+     *    the active rows, summing the crossbars' spike tables; a conv
+     *    stage scatters each ascending input spike into the windows it
+     *    touches, which leaves every window's row list ascending, so
+     *    per-column summation order (currents, energy, ABFT verdicts)
+     *    matches the walk's gather bit-for-bit. It then evaluates all
+     *    windows of a column group in one evaluateSpikeWindows() call,
+     *    bills ChipStats window-major and group-minor (the walk's order,
+     *    which fixes the energy sum's rounding) and emits each kernel
+     *    plane contiguously with the walk's affine expression;
      *  - a weight stage fed fractional values (an average pool, or a
      *    weight layer with no IF between) evaluates dense, which the
      *    crossbar pins bit-identical to sparse on binary windows.

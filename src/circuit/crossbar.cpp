@@ -13,41 +13,12 @@ namespace nebula {
 namespace {
 
 /**
- * Accumulate four crossbar rows into the per-column current totals.
- * Each column's partial sum stays in a register across the four adds
- * instead of round-tripping through memory once per row, and the adds
- * still happen in ascending row order per column -- bit-identical to
- * four passes of accumulateRow().
- */
-NEBULA_TARGET_CLONES void
-accumulateRows4(double *out, int cols, double v, const double *r0,
-                const double *r1, const double *r2, const double *r3)
-{
-    for (int j = 0; j < cols; ++j) {
-        double s = out[j];
-        s += v * r0[j];
-        s += v * r1[j];
-        s += v * r2[j];
-        s += v * r3[j];
-        out[j] = s;
-    }
-}
-
-/** Accumulate one crossbar row into the per-column current totals. */
-NEBULA_TARGET_CLONES void
-accumulateRow(double *out, int cols, double v, const double *row)
-{
-    for (int j = 0; j < cols; ++j)
-        out[j] += v * row[j];
-}
-
-/**
  * Register-tiled single-window kernel: one tile of up to 16 column
  * accumulators lives in registers across the whole active-row walk, so
  * the inner loop issues one conductance load per 4 columns instead of a
  * load+store round-trip on the output row per crossbar row. Each
  * column's partial sum still grows in ascending active-row order --
- * bit-identical to a row-major accumulateRow walk -- because FP
+ * bit-identical to a row-major ascending-row walk -- because FP
  * addition order per output element is unchanged; only where the
  * partial lives (register vs memory) differs.
  *
@@ -107,7 +78,7 @@ soloColsTileN(const double *dense, size_t stride, const int *active,
  * sum still grows in ascending active-row order, and rows every window
  * leaves dark are skipped -- a zero drive voltage only ever contributes
  * an exact +0.0 to the non-negative partials -- so every window remains
- * bit-identical to a standalone accumulateRow walk.
+ * bit-identical to a standalone evaluation.
  *
  * @param active Ascending row indices where at least one window drives.
  * @param va     Packed per-active-row voltages: va[4*a + w] for window w.
@@ -167,6 +138,78 @@ windowColsTile4xN(const double *dense, size_t stride, const int *active,
         for (int t = 0; t < width; ++t)
             out[static_cast<size_t>(w) * out_stride + j0 + t] =
                 acc[w][t];
+}
+
+/**
+ * Spike-table window sums: for each of @p windows windows (window w's
+ * counts[w] ascending active rows at rows + w * row_stride), sum those
+ * rows of the spike table into sums + w * stride. The partial sums of
+ * one 16- or 8-column block live in registers across the window's row
+ * walk; each starts at +0.0 and grows in ascending row order, adding
+ * the same rounded products the dense kernels form -- so every sum is
+ * bit-identical to theirs.
+ */
+NEBULA_TARGET_CLONES void
+spikeWindowSums(const double *table, size_t stride, const int *rows,
+                size_t row_stride, const int *counts, int windows,
+                double *sums)
+{
+    for (int w = 0; w < windows; ++w) {
+        const int *active = rows + static_cast<size_t>(w) * row_stride;
+        const int n_active = counts[w];
+        double *sum = sums + static_cast<size_t>(w) * stride;
+        size_t k = 0;
+        for (; k + 16 <= stride; k += 16) {
+            double acc0[8] = {};
+            double acc1[8] = {};
+            for (int a = 0; a < n_active; ++a) {
+                const double *t =
+                    table + static_cast<size_t>(active[a]) * stride + k;
+                for (int x = 0; x < 8; ++x) {
+                    acc0[x] += t[x];
+                    acc1[x] += t[8 + x];
+                }
+            }
+            for (int x = 0; x < 8; ++x) {
+                sum[k + x] = acc0[x];
+                sum[k + 8 + x] = acc1[x];
+            }
+        }
+        if (k < stride) {
+            double acc[8] = {};
+            for (int a = 0; a < n_active; ++a) {
+                const double *t =
+                    table + static_cast<size_t>(active[a]) * stride + k;
+                for (int x = 0; x < 8; ++x)
+                    acc[x] += t[x];
+            }
+            for (int x = 0; x < 8; ++x)
+                sum[k + x] = acc[x];
+        }
+    }
+}
+
+/**
+ * The spike epilogue's arithmetic on whole column planes: from the
+ * window sums at sums + w * stride, currents[j * windows + w] =
+ * sum[j] - sum[cols] (the reference current) and energies[w] =
+ * sum[cols + 1] * duration -- finishWindow()'s subtraction and product,
+ * stored contiguously per plane.
+ */
+NEBULA_TARGET_CLONES void
+spikePlanes(const double *sums, size_t stride, int cols, int windows,
+            double duration, double *currents, double *energies)
+{
+    for (int j = 0; j < cols; ++j) {
+        double *plane = currents + static_cast<size_t>(j) * windows;
+        for (int w = 0; w < windows; ++w) {
+            const double *sum = sums + static_cast<size_t>(w) * stride;
+            plane[w] = sum[j] - sum[cols];
+        }
+    }
+    for (int w = 0; w < windows; ++w)
+        energies[w] = sums[static_cast<size_t>(w) * stride + cols + 1] *
+                      duration;
 }
 
 /** Energy of one full-drive program pulse (paper device parameters). */
@@ -674,22 +717,16 @@ CrossbarArray::evalCache() const
     const int rows = p_.rows;
     const int cols = p_.cols;
     const int ref = physicalDataCols();
-    c.dense.resize(static_cast<size_t>(rows) * cols);
     c.refCol.resize(static_cast<size_t>(rows));
     c.rowGsum.resize(static_cast<size_t>(rows));
     for (int i = 0; i < rows; ++i) {
-        const double *row =
-            &conductance_[static_cast<size_t>(i) * physicalStride()];
-        double *dense = &c.dense[static_cast<size_t>(i) * cols];
+        const double *row = physicalRow(i);
         // Summation order (logical columns, then reference) matches the
         // naive reference model so the cached energy term is
         // bit-identical to it.
         double row_g = 0.0;
-        for (int j = 0; j < cols; ++j) {
-            const double g = row[remap_[static_cast<size_t>(j)]];
-            dense[j] = g;
-            row_g += g;
-        }
+        for (int j = 0; j < cols; ++j)
+            row_g += row[remap_[static_cast<size_t>(j)]];
         c.refCol[static_cast<size_t>(i)] = row[ref];
         c.rowGsum[static_cast<size_t>(i)] = row_g + row[ref];
     }
@@ -700,14 +737,15 @@ CrossbarArray::evalCache() const
         // data and reference columns.
         c.chkCol.resize(static_cast<size_t>(rows));
         for (int i = 0; i < rows; ++i) {
-            const double g_chk =
-                conductance_[static_cast<size_t>(i) * physicalStride() +
-                             ref + 1];
+            const double g_chk = physicalRow(i)[ref + 1];
             c.chkCol[static_cast<size_t>(i)] = g_chk;
             c.rowGsum[static_cast<size_t>(i)] += g_chk;
         }
     }
 
+    // The views one evaluation path reads: rebuilt by its next call.
+    c.dense.clear();
+    c.spike.clear();
     c.colOpen.assign(static_cast<size_t>(cols), 0);
     c.anyColOpen = false;
     if (!faults_.empty()) {
@@ -719,6 +757,55 @@ CrossbarArray::evalCache() const
         }
     }
     c.valid = true;
+    return c;
+}
+
+const CrossbarArray::EvalCache &
+CrossbarArray::denseCache() const
+{
+    EvalCache &c = cache_;
+    evalCache();
+    if (!c.dense.empty())
+        return c;
+
+    const int cols = p_.cols;
+    c.dense.resize(static_cast<size_t>(p_.rows) * cols);
+    for (int i = 0; i < p_.rows; ++i) {
+        const double *row = physicalRow(i);
+        double *dense = &c.dense[static_cast<size_t>(i) * cols];
+        for (int j = 0; j < cols; ++j)
+            dense[j] = row[remap_[static_cast<size_t>(j)]];
+    }
+    return c;
+}
+
+const CrossbarArray::EvalCache &
+CrossbarArray::spikeCache() const
+{
+    EvalCache &c = cache_;
+    evalCache();
+    if (!c.spike.empty())
+        return c;
+
+    // The products the dense kernels form at the spike read voltage,
+    // each rounded once: v * G, v * G_ref, (v * v) * rowGsum, and the
+    // ABFT checksum terms v * G_chk and v * v.
+    const int cols = p_.cols;
+    const size_t stride = spikeStride();
+    const double v = p_.readVoltage;
+    c.spike.assign(static_cast<size_t>(p_.rows) * stride, 0.0);
+    for (int i = 0; i < p_.rows; ++i) {
+        double *t = &c.spike[static_cast<size_t>(i) * stride];
+        const double *row = physicalRow(i);
+        for (int j = 0; j < cols; ++j)
+            t[j] = v * row[remap_[static_cast<size_t>(j)]];
+        t[cols] = v * c.refCol[static_cast<size_t>(i)];
+        t[cols + 1] = v * v * c.rowGsum[static_cast<size_t>(i)];
+        if (p_.abft) {
+            t[cols + 2] = v * c.chkCol[static_cast<size_t>(i)];
+            t[cols + 3] = v * v;
+        }
+    }
     return c;
 }
 
@@ -747,7 +834,7 @@ CrossbarArray::evaluateIdealInto(const double *inputs, double duration,
 int
 CrossbarArray::soloWindow(const double *inputs, double *out) const
 {
-    const EvalCache &c = evalCache();
+    const EvalCache &c = denseCache();
     const int cols = p_.cols;
 
     // Active-row gather: the tiles below walk only driven rows.
@@ -814,7 +901,7 @@ CrossbarArray::finishWindow(double *out, const int *active, int n_active,
             chk_current += v * c.chkCol[static_cast<size_t>(active[a])];
             vsq += v * v;
         }
-        check = makeCheck(out, chk_current, ref_current, vsq);
+        check = makeCheck(out, 1, chk_current, ref_current, vsq);
     }
     return power * duration;
 }
@@ -840,33 +927,53 @@ void
 CrossbarArray::evaluateSparseInto(const int *active, int n_active,
                                   double duration, CrossbarEval &eval) const
 {
-    const EvalCache &c = evalCache();
-    const int cols = p_.cols;
-    const double v = p_.readVoltage;
-    eval.currents.assign(cols, 0.0);
+    // One window: its plane-major currents are the plain column order.
+    eval.currents.resize(static_cast<size_t>(p_.cols));
+    evaluateSpikeWindows(active, 0, &n_active, 1, duration,
+                         eval.currents.data(), &eval.energy, &eval.check);
+}
 
-    double *out = eval.currents.data();
-    int a = 0;
-    for (; a + 4 <= n_active; a += 4) {
-        const int i0 = active[a], i1 = active[a + 1];
-        const int i2 = active[a + 2], i3 = active[a + 3];
-        NEBULA_ASSERT(i0 >= 0 && i3 < p_.rows, "active row out of range");
-        accumulateRows4(out, cols, v,
-                        &c.dense[static_cast<size_t>(i0) * cols],
-                        &c.dense[static_cast<size_t>(i1) * cols],
-                        &c.dense[static_cast<size_t>(i2) * cols],
-                        &c.dense[static_cast<size_t>(i3) * cols]);
+void
+CrossbarArray::evaluateSpikeWindows(const int *rows, size_t row_stride,
+                                    const int *counts, int windows,
+                                    double duration, double *currents,
+                                    double *energies,
+                                    CrossbarCheck *checks) const
+{
+    const EvalCache &c = spikeCache();
+    const size_t stride = spikeStride();
+    for (int w = 0; w < windows; ++w) {
+        const int *active = rows + static_cast<size_t>(w) * row_stride;
+        NEBULA_ASSERT(counts[w] == 0 ||
+                          (active[0] >= 0 && active[counts[w] - 1] < p_.rows),
+                      "active row out of range");
     }
-    for (; a < n_active; ++a) {
-        const int i = active[a];
-        NEBULA_ASSERT(i >= 0 && i < p_.rows, "active row out of range");
-        accumulateRow(out, cols, v,
-                      &c.dense[static_cast<size_t>(i) * cols]);
+
+    std::vector<double> &sums = cache_.spikeSum;
+    sums.resize(static_cast<size_t>(windows) * stride);
+    spikeWindowSums(c.spike.data(), stride, rows, row_stride, counts,
+                    windows, sums.data());
+    // finishWindow()'s epilogue on whole column planes: the same
+    // subtraction, mask and verdict, from the summed table columns past
+    // the data (reference current, dissipation and, with ABFT, checksum
+    // current and sum of squared drive voltages).
+    const int cols = p_.cols;
+    spikePlanes(sums.data(), stride, cols, windows, duration, currents,
+                energies);
+    if (c.anyColOpen) {
+        for (int j = 0; j < cols; ++j)
+            if (c.colOpen[static_cast<size_t>(j)])
+                std::fill_n(currents + static_cast<size_t>(j) * windows,
+                            windows, 0.0);
     }
-    // Every spike drives its row at the full read voltage: one shared
-    // voltage (stride 0) for the epilogue.
-    eval.energy =
-        finishWindow(out, active, n_active, &v, 0, duration, eval.check);
+    for (int w = 0; w < windows; ++w) {
+        const double *sum = &sums[static_cast<size_t>(w) * stride];
+        checks[w] = p_.abft ? makeCheck(currents + w,
+                                        static_cast<size_t>(windows),
+                                        sum[cols + 2], sum[cols],
+                                        sum[cols + 3])
+                            : CrossbarCheck{};
+    }
 }
 
 CrossbarBatchEval
@@ -880,7 +987,7 @@ CrossbarArray::evaluateIdealBatch(const std::vector<double> &inputs,
 
     const int cols = p_.cols;
     const int rows = p_.rows;
-    const EvalCache &c = evalCache();
+    const EvalCache &c = denseCache();
     CrossbarBatchEval eval;
     eval.currents.resize(static_cast<size_t>(batch) * cols);
     eval.energies.resize(static_cast<size_t>(batch));
@@ -953,8 +1060,9 @@ CrossbarArray::evaluateIdealBatch(const std::vector<double> &inputs,
 }
 
 CrossbarCheck
-CrossbarArray::makeCheck(const double *currents, double chk_current,
-                         double ref_current, double vsq_sum) const
+CrossbarArray::makeCheck(const double *currents, size_t stride,
+                         double chk_current, double ref_current,
+                         double vsq_sum) const
 {
     CrossbarCheck check;
     check.checks = 1;
@@ -966,7 +1074,7 @@ CrossbarArray::makeCheck(const double *currents, double chk_current,
     // and cancels algebraically, taking its programming noise with it.
     double observed = 0.0;
     for (int j = 0; j < p_.cols; ++j)
-        observed += currents[j];
+        observed += currents[static_cast<size_t>(j) * stride];
     const double expected =
         static_cast<double>(p_.cols) * (chk_current - ref_current);
     check.residual = std::abs(observed - expected);

@@ -26,15 +26,25 @@
  * the per-row reference conductance and total row conductance used for
  * energy accounting, the open-column mask, and the parasitic solver
  * workspace. The cache is invalidated whenever the programmed state can
- * change (program, injectFaults) and rebuilt lazily on the next
- * evaluation, so the per-evaluation inner loop is a pure multiply-add
- * over a contiguous matrix with no remap gathers and no per-row
- * conductance re-summation. evaluateSparse() exploits SNN spike
- * sparsity by walking only the active rows of that view; results are
- * bit-identical to evaluateIdeal() on the densified spike vector. Every
- * entry point (solo, sparse, batched) shares one epilogue for the
- * reference subtraction, open-column mask, energy and ABFT verdict; the
- * naive oracle the kernels are pinned to lives in src/testing.
+ * change (program, updateCells, injectFaults) and rebuilt lazily on
+ * the next evaluation, so the per-evaluation inner loop is a pure
+ * multiply-add over a contiguous matrix with no remap gathers and no
+ * per-row conductance re-summation. Every entry point (solo, batched,
+ * spike) ends in one epilogue for the reference subtraction,
+ * open-column mask and ABFT verdict.
+ *
+ * Spike evaluation: a 1-bit spike puts the same read voltage v
+ * on every active row, so a spiking read is a sum of fixed per-row
+ * terms. The first spike evaluation adds a spike table to the cache --
+ * per row the exact products the dense kernels form, v*G_ij, v*G_ref,
+ * (v*v)*rowGsum and, with ABFT, v*G_chk and v*v -- and
+ * evaluateSparse()/evaluateSpikeWindows() sum the active rows' table
+ * rows in 8-wide register blocks, then finish in one small epilogue.
+ * ANN-only arrays never build it, and arrays fed only spikes never
+ * build the dense view. Every accumulator starts at +0.0 and
+ * adds the same rounded products in ascending row order, so results
+ * are bit-identical to evaluateIdeal() on the densified spike vector;
+ * the naive oracle the kernels are pinned to lives in src/testing.
  *
  * Reliability: the array can carry an explicit FaultMap (stuck cells,
  * pinning drift, retention decay, line opens) injected before
@@ -248,7 +258,8 @@ class CrossbarArray
      * voltage) contribute. Bit-identical to evaluateIdeal() on the
      * equivalent dense 0/1 vector, but the cost is linear in the number
      * of *active* rows -- the event-driven current-domain accumulation
-     * the SNN mode's efficiency argument rests on.
+     * the SNN mode's efficiency argument rests on: a sum of the active
+     * rows' spike-table rows plus a small epilogue.
      */
     CrossbarEval evaluateSparse(const SpikeVector &active,
                                 double duration) const;
@@ -268,6 +279,21 @@ class CrossbarArray
      */
     void evaluateSparseInto(const int *active, int n_active,
                             double duration, CrossbarEval &eval) const;
+
+    /**
+     * Spike-evaluate @p windows windows in one call (the event-driven
+     * conv scatter of one column group): window w's counts[w] ascending
+     * active rows sit at rows + w * row_stride. Writes plane-major
+     * currents, currents[j * windows + w] for column j, the window's
+     * ohmic energy to energies[w] and its ABFT verdict (checks == 0
+     * without ABFT) to checks[w]. Each window is bit-identical to
+     * evaluateSparseInto() on its row list.
+     */
+    void evaluateSpikeWindows(const int *rows, size_t row_stride,
+                              const int *counts, int windows,
+                              double duration, double *currents,
+                              double *energies,
+                              CrossbarCheck *checks) const;
 
     /**
      * Evaluate @p batch input windows (row-major batch x rows) in one
@@ -332,14 +358,22 @@ class CrossbarArray
     /**
      * Derived read-path state, rebuilt lazily after any event that can
      * change the programmed conductances or the column remap (program,
-     * injectFaults). Single-threaded per array, like every other
-     * mutable member: worker replicas each own their crossbars.
+     * updateCells, injectFaults). The per-row aggregates and the
+     * open-column mask serve every path; the dense view and the spike
+     * table are each built on the first evaluation that reads them, so
+     * an array holds only the view its traffic uses. Single-threaded
+     * per array, like every other mutable member: worker replicas each
+     * own their crossbars.
      */
     struct EvalCache
     {
         bool valid = false;
 
-        /** rows x cols remapped data conductances, logical order. */
+        /**
+         * rows x cols remapped data conductances, logical order; built
+         * by the first dense evaluation (empty until then, and emptied
+         * by every rebuild).
+         */
         std::vector<double> dense;
 
         /** Per-row reference-column conductance. */
@@ -366,10 +400,42 @@ class CrossbarArray
         /** Driven-row indices and voltages of the current window(s). */
         std::vector<int> active;
         std::vector<double> va;
+
+        /**
+         * Spike table, rows x spikeStride(), built on the first spike
+         * evaluation (empty until then, and emptied by every rebuild).
+         * Row i holds, at the read voltage v: v * G_ij for the cols()
+         * logical data columns, then v * refCol[i], (v * v) * rowGsum[i]
+         * and, with ABFT, v * chkCol[i] and v * v; zero padding fills
+         * the row to a multiple of 8 doubles.
+         */
+        std::vector<double> spike;
+
+        /** Per-window spike-table row sums, spikeStride() apiece. */
+        std::vector<double> spikeSum;
     };
 
-    /** The cache, built if stale. */
+    /** The cache's shared part, built if stale. */
     const EvalCache &evalCache() const;
+
+    /** The cache with its dense view, both built if stale. */
+    const EvalCache &denseCache() const;
+
+    /** The cache with its spike table, both built if stale. */
+    const EvalCache &spikeCache() const;
+
+    /** Physical row @p row of conductance_ (physicalStride() cells). */
+    const double *physicalRow(int row) const
+    {
+        return &conductance_[static_cast<size_t>(row) * physicalStride()];
+    }
+
+    /** Doubles per spike-table row: cols + 2 (+ 2 with ABFT), 8-padded. */
+    size_t spikeStride() const
+    {
+        return static_cast<size_t>((p_.cols + (p_.abft ? 4 : 2) + 7) / 8 *
+                                   8);
+    }
 
     /** Mark every derived view stale (programmed state changed). */
     void invalidateCache() { cache_.valid = false; }
@@ -383,11 +449,12 @@ class CrossbarArray
     int soloWindow(const double *inputs, double *out) const;
 
     /**
-     * The one evaluation epilogue: subtract the reference-column
+     * The dense evaluation epilogue: subtract the reference-column
      * current from @p out, zero open columns, and produce the ABFT
      * verdict into @p check; returns the window's ohmic energy. Walks
      * the @p n_active ascending driven rows at @p active, row a driven
-     * at va[a * va_stride] (stride 0: one shared spike voltage).
+     * at va[a * va_stride]. evaluateSpikeWindows() applies the same
+     * operations to summed spike-table columns.
      */
     double finishWindow(double *out, const int *active, int n_active,
                         const double *va, size_t va_stride, double duration,
@@ -411,14 +478,16 @@ class CrossbarArray
      * produces bit-identical verdicts.
      *
      * @param currents    Final (reference-subtracted, open-masked)
-     *                    data-column currents.
+     *                    data-column currents, column j at
+     *                    currents[j * stride].
      * @param chk_current Checksum-column current sum_i v_i * G_chk[i].
      * @param ref_current Reference-column current sum_i v_i * G_ref[i].
      * @param vsq_sum     sum_i v_i^2 over the driven rows (V^2), for
      *                    the variation term of the tolerance.
      */
-    CrossbarCheck makeCheck(const double *currents, double chk_current,
-                            double ref_current, double vsq_sum) const;
+    CrossbarCheck makeCheck(const double *currents, size_t stride,
+                            double chk_current, double ref_current,
+                            double vsq_sum) const;
 
     double &cellAt(int row, int phys_col);
     double cellAt(int row, int phys_col) const;

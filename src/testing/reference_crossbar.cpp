@@ -42,7 +42,12 @@ referenceIdeal(const CrossbarArray &xbar, const std::vector<double> &inputs,
     for (auto &current : eval.currents)
         current -= ref_current;
 
-    // Energy: V^2 * G over every driven cell (data columns + reference).
+    // The ABFT checksum column sits after the spares and the reference.
+    const CrossbarParams &p = xbar.params();
+    const int chk_col = cols + p.spareCols + 1;
+
+    // Energy: V^2 * G over every driven cell (data columns + reference,
+    // and the checksum column with ABFT).
     double power = 0.0;
     for (int i = 0; i < rows; ++i) {
         const double v = std::clamp(inputs[i], 0.0, 1.0) * read_v;
@@ -52,6 +57,8 @@ referenceIdeal(const CrossbarArray &xbar, const std::vector<double> &inputs,
         for (int j = 0; j < cols; ++j)
             row_g += xbar.conductanceAt(i, j);
         row_g += xbar.conductanceAt(i, cols);
+        if (p.abft)
+            row_g += xbar.physicalConductanceAt(i, chk_col);
         power += v * v * row_g;
     }
     eval.energy = power * duration;
@@ -61,6 +68,36 @@ referenceIdeal(const CrossbarArray &xbar, const std::vector<double> &inputs,
         for (int j = 0; j < cols; ++j)
             if (xbar.faults().colOpen(xbar.physicalColumn(j)))
                 eval.currents[static_cast<size_t>(j)] = 0.0;
+    }
+
+    // ABFT verdict: the observed data-column sum against cols times the
+    // checksum-minus-reference current, within half a conductance LSB at
+    // full drive plus 6 sigma of programming variation.
+    if (p.abft) {
+        double chk_current = 0.0;
+        double vsq = 0.0;
+        for (int i = 0; i < rows; ++i) {
+            const double v = std::clamp(inputs[i], 0.0, 1.0) * read_v;
+            chk_current += v * xbar.physicalConductanceAt(i, chk_col);
+            vsq += v * v;
+        }
+        double observed = 0.0;
+        for (const double current : eval.currents)
+            observed += current;
+        const double expected =
+            static_cast<double>(cols) * (chk_current - ref_current);
+        const MtjStack cell(p.mtj);
+        const double g_mid = 0.5 * (cell.conductanceP() + cell.conductanceAp());
+        const double g_half =
+            0.5 * (cell.conductanceP() - cell.conductanceAp());
+        double tol = 0.5 * read_v * (2.0 * g_half / (p.levels - 1));
+        if (p.variationSigma > 0.0)
+            tol += 6.0 * p.variationSigma * (g_mid + g_half) *
+                   std::sqrt(static_cast<double>(cols) * vsq);
+        eval.check.checks = 1;
+        eval.check.residual = std::abs(observed - expected);
+        eval.check.tolerance = tol;
+        eval.check.violations = eval.check.residual > tol ? 1 : 0;
     }
     return eval;
 }
@@ -276,6 +313,18 @@ compareEval(const CrossbarEval &got, const CrossbarEval &want,
     if (!close(got.energy, want.energy)) {
         oss.precision(17);
         oss << "energy: got " << got.energy << " want " << want.energy;
+        return oss.str();
+    }
+    const CrossbarCheck &gc = got.check;
+    const CrossbarCheck &wc = want.check;
+    if (gc.checks != wc.checks || gc.violations != wc.violations ||
+        !close(gc.residual, wc.residual) ||
+        !close(gc.tolerance, wc.tolerance)) {
+        oss.precision(17);
+        oss << "ABFT verdict: got " << gc.checks << "/" << gc.violations
+            << " residual " << gc.residual << " tolerance " << gc.tolerance
+            << ", want " << wc.checks << "/" << wc.violations << " residual "
+            << wc.residual << " tolerance " << wc.tolerance;
         return oss.str();
     }
     return {};

@@ -35,8 +35,9 @@ namespace testing {
 /**
  * Naive ideal evaluation: per logical column, sum v_i * G_ij over rows
  * through conductanceAt(), subtract the reference-column current, zero
- * open columns. Accumulation runs in ascending row order per column, so
- * a correct fast path must match it bit-for-bit.
+ * open columns; with ABFT, bill the checksum column's dissipation and
+ * derive the checksum verdict. Accumulation runs in ascending row order
+ * per column, so a correct fast path must match it bit-for-bit.
  */
 CrossbarEval referenceIdeal(const CrossbarArray &xbar,
                             const std::vector<double> &inputs,
@@ -94,8 +95,9 @@ BuiltCase buildCase(const CaseConfig &config);
 
 /**
  * Compare two evaluations. @p tolerance 0 demands bit-exact equality;
- * otherwise |got - want| <= tolerance * max(1, |want|) per column and
- * for the energy. Returns an empty string on match, else a description
+ * otherwise |got - want| <= tolerance * max(1, |want|) per column, for
+ * the energy and for the ABFT residual and tolerance (the verdict's
+ * counts always match exactly). Returns an empty string on match, else a description
  * of the first mismatch.
  */
 std::string compareEval(const CrossbarEval &got, const CrossbarEval &want,

@@ -1,11 +1,11 @@
 /**
  * @file
  * Differential tests pinning the crossbar fast evaluation paths (cached
- * ideal, sparse spike-driven, batched, parasitic-with-workspace) to the
- * naive reference model in src/testing. Each path sweeps hundreds of
- * seeded random cases over geometry, spare columns, fault maps,
- * mitigations and input sparsity; a mismatch is shrunk to a minimal
- * reproducer before being reported.
+ * ideal, sparse spike-driven, spike windows, batched, parasitic-with-
+ * workspace) to the naive reference model in src/testing. Each path
+ * sweeps hundreds of seeded random cases over geometry, spare columns,
+ * fault maps, mitigations and input sparsity; a mismatch is shrunk to a
+ * minimal reproducer before being reported.
  */
 
 #include <gtest/gtest.h>
@@ -82,6 +82,97 @@ TEST(Differential, SparseMatchesReferenceBitExact)
                 return "sparse vs dense fast path: " + detail;
             return std::string();
         });
+}
+
+TEST(Differential, SpikeWindowsMatchReferenceBitExact)
+{
+    // The event-driven conv path: several spike windows of one array in
+    // one evaluateSpikeWindows call (plane-major currents, per-window
+    // energies and ABFT verdicts), each window against the oracle on its
+    // densified 0/1 window and against a standalone evaluateSparseInto.
+    // Windows are empty, all rows, or random at the case's sparsity; half
+    // the cases carry the ABFT checksum column.
+    int narrow = 0, wide = 0, abft = 0, faults = 0, repair = 0;
+    int variation = 0, empty = 0, full = 0;
+    runCases(
+        520, 7000,
+        [&](uint64_t seed) {
+            CaseConfig config = randomCase(seed);
+            config.snnMode = true;
+            config.abft = Rng(seed ^ 0xabf8ull).bernoulli(0.5);
+            narrow += config.cols < 8;
+            wide += config.cols > 8;
+            abft += config.abft;
+            faults += config.withFaults;
+            repair += config.repair;
+            variation += config.variationSigma > 0.0;
+            return config;
+        },
+        [&](const CaseConfig &config) {
+            BuiltCase built = buildCase(config);
+            const CrossbarArray &xbar = *built.xbar;
+            const int rows = xbar.rows();
+            const int cols = xbar.cols();
+            Rng rng(config.seed ^ 0x5b1ceull);
+            const int windows = rng.uniformInt(1, 8);
+            std::vector<int> lists(static_cast<size_t>(windows) * rows);
+            std::vector<int> counts(static_cast<size_t>(windows), 0);
+            for (int w = 0; w < windows; ++w) {
+                const int kind = rng.uniformInt(0, 3);
+                empty += kind == 0;
+                full += kind == 1;
+                for (int i = 0; i < rows; ++i)
+                    if (kind == 1 ||
+                        (kind > 1 && !rng.bernoulli(config.sparsity)))
+                        lists[static_cast<size_t>(w) * rows +
+                              counts[static_cast<size_t>(w)]++] = i;
+            }
+
+            std::vector<double> currents(static_cast<size_t>(cols) *
+                                         windows);
+            std::vector<double> energies(static_cast<size_t>(windows));
+            std::vector<CrossbarCheck> checks(static_cast<size_t>(windows));
+            xbar.evaluateSpikeWindows(lists.data(), static_cast<size_t>(rows),
+                                      counts.data(), windows, kCycle,
+                                      currents.data(), energies.data(),
+                                      checks.data());
+            CrossbarEval sparse;
+            for (int w = 0; w < windows; ++w) {
+                const int *active = &lists[static_cast<size_t>(w) * rows];
+                const int n = counts[static_cast<size_t>(w)];
+                std::vector<double> dense(static_cast<size_t>(rows), 0.0);
+                for (int a = 0; a < n; ++a)
+                    dense[static_cast<size_t>(active[a])] = 1.0;
+                CrossbarEval got;
+                for (int j = 0; j < cols; ++j)
+                    got.currents.push_back(
+                        currents[static_cast<size_t>(j) * windows + w]);
+                got.energy = energies[static_cast<size_t>(w)];
+                got.check = checks[static_cast<size_t>(w)];
+
+                const std::string where =
+                    "window " + std::to_string(w) + " (" +
+                    std::to_string(n) + " rows) ";
+                std::string detail = compareEval(
+                    got, referenceIdeal(xbar, dense, kCycle), 0.0);
+                if (!detail.empty())
+                    return where + "vs reference: " + detail;
+                xbar.evaluateSparseInto(active, n, kCycle, sparse);
+                detail = compareEval(got, sparse, 0.0);
+                if (!detail.empty())
+                    return where + "vs evaluateSparseInto: " + detail;
+            }
+            return std::string();
+        });
+    // The generator must have reached every regime the kernel handles.
+    EXPECT_GT(narrow, 0);
+    EXPECT_GT(wide, 0);
+    EXPECT_GT(abft, 100);
+    EXPECT_GT(faults, 100);
+    EXPECT_GT(repair, 50);
+    EXPECT_GT(variation, 50);
+    EXPECT_GT(empty, 100);
+    EXPECT_GT(full, 100);
 }
 
 /** First field where two ABFT verdicts differ bit for bit, or "". */

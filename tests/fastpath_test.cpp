@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <numeric>
 #include <sstream>
 
 #include "arch/chip.hpp"
@@ -165,6 +166,125 @@ TEST(CrossbarCache, MitigatedProgramRemapsCacheView)
         << "cache did not follow the spare-column remap";
     // The repaired column carries real current again (spare is healthy).
     EXPECT_NE(repaired.currents[2], 0.0);
+}
+
+/**
+ * Spike-evaluate two windows of @p xbar in one evaluateSpikeWindows
+ * call -- every row, and every other row -- and compare each against
+ * the oracle on its densified window. Returns the first mismatch or "".
+ */
+std::string
+spikeWindowsMismatch(const CrossbarArray &xbar)
+{
+    const int rows = xbar.rows();
+    const int cols = xbar.cols();
+    std::vector<int> lists(2 * static_cast<size_t>(rows));
+    std::vector<int> counts = {rows, 0};
+    for (int i = 0; i < rows; ++i) {
+        lists[static_cast<size_t>(i)] = i;
+        if (i % 2 == 0)
+            lists[static_cast<size_t>(rows + counts[1]++)] = i;
+    }
+    std::vector<double> currents(2 * static_cast<size_t>(cols));
+    std::vector<double> energies(2);
+    std::vector<CrossbarCheck> checks(2);
+    xbar.evaluateSpikeWindows(lists.data(), static_cast<size_t>(rows),
+                              counts.data(), 2, kCycle, currents.data(),
+                              energies.data(), checks.data());
+    for (int w = 0; w < 2; ++w) {
+        std::vector<double> dense(static_cast<size_t>(rows), 0.0);
+        for (int a = 0; a < counts[static_cast<size_t>(w)]; ++a)
+            dense[static_cast<size_t>(
+                lists[static_cast<size_t>(w * rows + a)])] = 1.0;
+        CrossbarEval got;
+        for (int j = 0; j < cols; ++j)
+            got.currents.push_back(currents[static_cast<size_t>(j * 2 + w)]);
+        got.energy = energies[static_cast<size_t>(w)];
+        got.check = checks[static_cast<size_t>(w)];
+        const std::string detail =
+            compareEval(got, referenceIdeal(xbar, dense, kCycle), 0.0);
+        if (!detail.empty())
+            return "window " + std::to_string(w) + ": " + detail;
+    }
+    return {};
+}
+
+/** A 12 x 10 SNN array with the ABFT column: two 8-wide table blocks. */
+CrossbarParams
+spikeArrayParams()
+{
+    CrossbarParams params;
+    params.rows = 12;
+    params.cols = 10;
+    params.abft = true;
+    return params;
+}
+
+TEST(CrossbarCache, SpikeTableFollowsCellUpdates)
+{
+    CrossbarArray xbar(spikeArrayParams());
+    xbar.programWeights(randomWeights(12, 10, 41));
+    const std::vector<double> ones(12, 1.0);
+    SpikeVector all_rows(12);
+    std::iota(all_rows.begin(), all_rows.end(), 0);
+
+    // The first spike evaluation builds the spike table.
+    const CrossbarEval before = xbar.evaluateSparse(all_rows, kCycle);
+    ASSERT_EQ(spikeWindowsMismatch(xbar), "");
+
+    const UpdateReport report =
+        xbar.updateCells({{0, 1, 3}, {5, 9, -4}, {11, 0, 2}});
+    ASSERT_GT(report.levelSteps, 0);
+
+    EXPECT_EQ(spikeWindowsMismatch(xbar), "")
+        << "spike table served after updateCells";
+    const CrossbarEval after = xbar.evaluateSparse(all_rows, kCycle);
+    EXPECT_EQ(compareEval(after, referenceIdeal(xbar, ones, kCycle), 0.0),
+              "");
+    EXPECT_NE(compareEval(after, before, 0.0), "")
+        << "the updates should change the currents";
+}
+
+TEST(CrossbarCache, SpikeTableFollowsFaultInjection)
+{
+    CrossbarParams params = spikeArrayParams();
+    params.spareCols = 2;
+    CrossbarArray xbar(params);
+    const auto weights = randomWeights(12, 10, 43);
+    xbar.programWeights(weights);
+    const std::vector<double> ones(12, 1.0);
+    SpikeVector all_rows(12);
+    std::iota(all_rows.begin(), all_rows.end(), 0);
+
+    const CrossbarEval before = xbar.evaluateSparse(all_rows, kCycle);
+    ASSERT_EQ(spikeWindowsMismatch(xbar), "");
+
+    // Open lines break the array after the table was built.
+    FaultMap map(12, 10 + 2);
+    map.setColOpen(3);
+    map.setRowOpen(5);
+    xbar.injectFaults(std::move(map));
+
+    EXPECT_EQ(spikeWindowsMismatch(xbar), "")
+        << "spike table served after fault injection";
+    const CrossbarEval after = xbar.evaluateSparse(all_rows, kCycle);
+    EXPECT_EQ(compareEval(after, referenceIdeal(xbar, ones, kCycle), 0.0),
+              "");
+    EXPECT_EQ(after.currents[3], 0.0);
+    EXPECT_NE(before.currents[3], 0.0);
+
+    // The mitigation flow then moves column 3 onto a spare and rewrites
+    // every cell: the table must follow the new remap and conductances.
+    ProgrammingConfig mitigated;
+    mitigated.repair.enabled = true;
+    xbar.program(weights, mitigated);
+    ASSERT_GE(xbar.sparesUsed(), 1);
+    EXPECT_EQ(spikeWindowsMismatch(xbar), "")
+        << "spike table served after repair";
+    const CrossbarEval repaired = xbar.evaluateSparse(all_rows, kCycle);
+    EXPECT_EQ(
+        compareEval(repaired, referenceIdeal(xbar, ones, kCycle), 0.0), "");
+    EXPECT_NE(repaired.currents[3], 0.0);
 }
 
 /** Bit-for-bit equality of two doubles (distinguishes -0.0, NaNs). */
